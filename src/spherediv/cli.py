@@ -105,7 +105,7 @@ def cmd_obstruct(args) -> dict:
     if args.exact and not rotations.is_exact:
         raise ValueError("--exact requested but the tuple is floating-point")
     n_max = args.nmax if args.nmax is not None else default_n_max(rotations.dimension)
-    report = certify_degrees(rotations, n_max=n_max, threads=args.threads)
+    report = certify_degrees(rotations, n_max=n_max)
     out = _envelope(args, report=report.to_json())
     if args.witness is not None:
         out["witness"] = extract_witness(rotations, args.witness).to_json()
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require an exact-mode tuple")
     p.add_argument("--witness", type=int,
                    help="also extract the witness at this degree")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_obstruct)
 
     p = sub.add_parser("circle", parents=[],

@@ -107,6 +107,18 @@ def gegenbauer(d: int, n: int) -> RationalPolynomial:
     return num.scale(Fraction(1, m + d - 2))
 
 
+@lru_cache(maxsize=None)
+def integer_form(d: int, n: int) -> tuple[tuple[int, ...], int]:
+    """(c, q) with P_n(t) = t^p * sum_j c[j] t^(2j) / q, where p = n mod 2.
+
+    P_n has the parity of n, so only every other coefficient is kept; all of
+    them are integers over the common denominator q.
+    """
+    coeffs = gegenbauer(d, n).coefficients[n % 2::2]
+    q = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (q // c.denominator) for c in coeffs), q
+
+
 def harmonic_dimension(d: int, n: int) -> int:
     """Dimension of the space of degree-n spherical harmonics on S^{d-1}."""
     if d < 2 or n < 0:

@@ -1,13 +1,15 @@
 """Exact linear algebra over Fraction / QuadExt / CycloNum entries.
 
-Determinants use fraction-free (Bareiss) elimination when the scalar domain
-supports exact division, falling back to cofactor expansion for ring-only
-scalars (small matrices over roots of unity).  Kernels, ranks and inverses go
-through exact reduced row echelon form.  Nothing here ever rounds.
+Determinants over Q and Q(sqrt(D)) clear each row's denominators and run
+fraction-free (Bareiss) elimination on plain Python ints, or on integer pairs
+for Z[sqrt(D)]; ring-only scalars (small matrices over roots of unity) fall
+back to cofactor expansion.  Kernels, ranks and inverses go through exact
+reduced row echelon form.  Nothing here ever rounds.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .scalars import QuadExt, is_zero_scalar
@@ -54,34 +56,118 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _supports_division(x) -> bool:
-    return isinstance(x, (int, Fraction, QuadExt))
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(a, q) with values[k] = a[k] / q: ints or Fractions over their least
+    common denominator q."""
+    q = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (q // x.denominator) for x in values], q
 
 
-def det_bareiss(m):
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [list(row) for row in m]
-    one = one_like(a[0][0])
+def clear_quadratic_denominators(values) -> tuple[list[int], list[int], int]:
+    """(a, b, q) with values[k] = (a[k] + b[k] sqrt(D)) / q for QuadExt, Fraction
+    or int values, q the least common denominator of all their parts."""
+    parts = [(x.a, x.b) if isinstance(x, QuadExt) else (x, 0) for x in values]
+    q = math.lcm(*(c.denominator for pair in parts for c in pair))
+    return ([x.numerator * (q // x.denominator) for x, _ in parts],
+            [y.numerator * (q // y.denominator) for _, y in parts], q)
+
+
+def _bareiss(a) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination, in place.
+
+    Every entry after step k is a (k+1)-minor of the input, so the division by
+    the previous pivot is exact.
+    """
+    n = len(a)
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
-        if is_zero_scalar(a[k][k]):
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                if not is_zero_scalar(a[i][k]):
+                if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return zero_like(a[0][0])
+                return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        tail = pivot_row[k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = zero_like(a[i][k])
-        prev = a[k][k]
-    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+            row = a[i]
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+def _bareiss_quad(a, b, dd: int):
+    """Determinant of the matrix a + b*sqrt(dd) over Z[sqrt(dd)], in place.
+
+    As in ``_bareiss`` every intermediate entry is a minor, hence lies in
+    Z[sqrt(dd)]; dividing by the previous pivot p means multiplying by its
+    conjugate and dividing both parts by the norm N(p), which is exact.
+    """
+    n = len(a)
+    sign = 1
+    pa, pb, norm = 1, 0, 1
+    for k in range(n - 1):
+        if a[k][k] == 0 and b[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0 or b[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    b[k], b[i] = b[i], b[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, 0
+        ka, kb = a[k][k], b[k][k]
+        tail_a, tail_b = a[k][k + 1:], b[k][k + 1:]
+        for i in range(k + 1, n):
+            row_a, row_b = a[i], b[i]
+            fa, fb = row_a[k], row_b[k]
+            new_a, new_b = [], []
+            for xa, xb, ya, yb in zip(row_a[k + 1:], row_b[k + 1:], tail_a, tail_b):
+                # u = x * pivot - f * y, then u / p = u * conj(p) / N(p)
+                ua = xa * ka + dd * xb * kb - fa * ya - dd * fb * yb
+                ub = xa * kb + xb * ka - fa * yb - fb * ya
+                new_a.append((ua * pa - dd * ub * pb) // norm)
+                new_b.append((ub * pa - ua * pb) // norm)
+            row_a[k + 1:] = new_a
+            row_b[k + 1:] = new_b
+        pa, pb = ka, kb
+        norm = ka * ka - dd * kb * kb
+    return sign * a[n - 1][n - 1], sign * b[n - 1][n - 1]
+
+
+def det_rational(m) -> Fraction:
+    """Exact determinant of a square matrix of ints and Fractions.
+
+    Each row is scaled by its common denominator q_i, the integer determinant
+    is taken by Bareiss elimination, and the result is divided by prod q_i.
+    """
+    rows, scale = [], 1
+    for row in m:
+        ints, q = clear_denominators(row)
+        rows.append(ints)
+        scale *= q
+    return Fraction(_bareiss(rows), scale)
+
+
+def det_quadratic(m, dd: int) -> QuadExt:
+    """Exact determinant of a square matrix over Q(sqrt(dd)).
+
+    Entries may be QuadExt (of this dd), Fraction or int.  Rows are cleared of
+    denominators as in ``det_rational`` and eliminated over Z[sqrt(dd)].
+    """
+    rows_a, rows_b, scale = [], [], 1
+    for row in m:
+        a, b, q = clear_quadratic_denominators(row)
+        rows_a.append(a)
+        rows_b.append(b)
+        scale *= q
+    da, db = _bareiss_quad(rows_a, rows_b, dd)
+    return QuadExt(Fraction(da, scale), Fraction(db, scale), dd)
 
 
 def det_cofactor(m):
@@ -104,12 +190,28 @@ def det_cofactor(m):
 
 
 def det(m):
+    """Exact determinant.
+
+    Matrices of ints and Fractions go to ``det_rational``, matrices with
+    Q(sqrt(D)) entries to ``det_quadratic`` (the value is a QuadExt), and any
+    other ring (sums of roots of unity) to cofactor expansion.
+    """
     n = len(m)
     if n == 0:
         return Fraction(1)
-    if _supports_division(m[0][0]):
-        return det_bareiss(m)
-    return det_cofactor(m)
+    dd = None
+    for row in m:
+        for x in row:
+            if isinstance(x, QuadExt):
+                if dd is None:
+                    dd = x.d
+                elif x.d != dd:
+                    raise ValueError(f"mixed quadratic fields: sqrt({dd}) vs sqrt({x.d})")
+            elif not isinstance(x, (int, Fraction)):
+                return det_cofactor(m)
+    if dd is None:
+        return det_rational(m)
+    return det_quadratic(m, dd)
 
 
 def rref(m):

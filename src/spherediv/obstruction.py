@@ -11,7 +11,6 @@ non-constant fractional division supported at degree n.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .cyclotomic import CycloNum
 from .gegenbauer import evaluate, gegenbauer, harmonic_dimension
 from .points import RotationTuple, validate_tuple
 from .scalars import is_zero_scalar, scalar_to_float
-from .zonal import ZonalBasis, build_zonal_basis, dot
+from .zonal import ZonalBasis, build_zonal_basis, dot, pairing_matrix
 
 FLOAT_SINGULAR_COEFF = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-9
@@ -49,7 +48,14 @@ def g_function(d: int, n: int, rotations: RotationTuple, v, x):
 
 
 def l_matrix(d: int, n: int, rotations: RotationTuple, basis: ZonalBasis):
-    """Entry (i, j) = (1/N_n) sum_s P_n(v_i . (g_s v_j))."""
+    """Entry (i, j) = (1/N_n) sum_s P_n(v_i . (g_s v_j)).
+
+    Exact and quad tuples are evaluated on integers by ``zonal.pairing_matrix``;
+    circle tuples (entries over roots of unity) and floating tuples evaluate
+    the polynomial term by term.
+    """
+    if rotations.mode in ("exact", "quad"):
+        return pairing_matrix(d, n, basis.points, rotations.matrices)
     nn = harmonic_dimension(d, n)
     poly = gegenbauer(d, n)
     pts = basis.points
@@ -138,8 +144,7 @@ def _certify_one(rotations: RotationTuple, n: int) -> DegreeCertificate:
     return DegreeCertificate(n, status, str(detv), det_float)
 
 
-def certify_degrees(rotations: RotationTuple, n_max: int | None = None,
-                    threads: int = 1) -> ObstructionReport:
+def certify_degrees(rotations: RotationTuple, n_max: int | None = None) -> ObstructionReport:
     """Sweep degrees 1..n_max; exact-mode results are rigorous certificates."""
     report = validate_tuple(rotations)
     if not report.ok:
@@ -148,13 +153,7 @@ def certify_degrees(rotations: RotationTuple, n_max: int | None = None,
         n_max = default_n_max(rotations.dimension)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    ns = list(range(1, n_max + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            degrees = list(pool.map(lambda n: _certify_one(rotations, n), ns))
-    else:
-        degrees = [_certify_one(rotations, n) for n in ns]
-    degrees.sort(key=lambda c: c.n)
+    degrees = [_certify_one(rotations, n) for n in range(1, n_max + 1)]
     witness_degrees = [c.n for c in degrees if c.status == "witness_exists"]
     if witness_degrees:
         disclaimer = (f"certificate covers harmonic degrees 1..{n_max} only; "

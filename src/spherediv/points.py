@@ -222,6 +222,9 @@ def validate_tuple(t: RotationTuple,
             import numpy as np
 
             a = np.array(_float_matrix(m))
+            if not np.all(np.isfinite(a)):
+                issues.append(f"matrix {idx}: non-finite entry")
+                continue
             orth = float(np.max(np.abs(a.T @ a - np.eye(t.dimension))))
             dres = abs(float(np.linalg.det(a)) - 1.0)
             max_orth = max(max_orth, orth)

@@ -47,6 +47,8 @@ def tuple_to_json(t: RotationTuple) -> dict:
 
 
 def tuple_from_json(data: dict) -> RotationTuple:
+    if not isinstance(data, dict):
+        raise ValueError(f"a rotation tuple must be a JSON object, got {type(data).__name__}")
     mode = data.get("mode")
     if mode == "exact":
         mats = [[[Fraction(x) for x in row] for row in m] for m in data["matrices"]]

@@ -10,14 +10,17 @@ M_ij = P_n(v_i . v_j) / N_n.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .gegenbauer import evaluate, gegenbauer, harmonic_dimension
-from .points import BudgetExceeded, enumerate_points
+from .gegenbauer import evaluate, gegenbauer, harmonic_dimension, integer_form
+from .points import BudgetExceeded, enumerate_points, is_unit_point
+from .scalars import QuadExt
 
 ENUMERATION_ORDER_VERSION = 1
 DEFAULT_BUDGET_FACTOR = 10
@@ -38,18 +41,88 @@ def zonal_evaluate(d: int, n: int, v, x):
     return evaluate(gegenbauer(d, n), dot(v, x))
 
 
+def _homogeneous(coeffs, odd: int, x: int, y: int) -> int:
+    """H(x, y) = x^odd * sum_t coeffs[t] x^(2t) y^(2(m - t)), so that
+    P_n(x / y) = H(x, y) / (q y^n) for (coeffs, q) = integer_form(d, n)."""
+    xx, yy = x * x, y * y
+    acc, power = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        power *= yy
+        acc = acc * xx + c * power
+    return acc * x if odd else acc
+
+
+def _homogeneous_quadratic(coeffs, odd: int, xa: int, xb: int, y: int, dd: int):
+    """``_homogeneous`` at x = xa + xb sqrt(dd), as the pair of integer parts."""
+    sa, sb = xa * xa + dd * xb * xb, 2 * xa * xb
+    yy = y * y
+    acc_a, acc_b, power = coeffs[-1], 0, 1
+    for c in reversed(coeffs[:-1]):
+        power *= yy
+        acc_a, acc_b = acc_a * sa + dd * acc_b * sb + c * power, acc_a * sb + acc_b * sa
+    if odd:
+        return acc_a * xa + dd * acc_b * xb, acc_a * xb + acc_b * xa
+    return acc_a, acc_b
+
+
+def pairing_matrix(d: int, n: int, pts, matrices) -> list[list]:
+    """Entry (i, j) = (1/N_n) sum_s P_n(v_i . (g_s v_j)) for rational points v_i
+    and exact matrices g_s over Q or one Q(sqrt(D)).
+
+    Computed on plain ints: with v_i = a_i / q_i and g_s = G_s / den,
+    v_i . (g_s v_j) = x / y for x = a_i . (G_s a_j) and y = q_i q_j den, and
+    P_n(x / y) = H(x, y) / (c y^n) with H the homogenised integer form of
+    P_n.  For Q(sqrt(D)) entries x is an integer pair x_a + x_b sqrt(D).
+    Entries are Fractions, or QuadExt when any matrix entry is one.
+    """
+    fields = {x.d for g in matrices for row in g for x in row if isinstance(x, QuadExt)}
+    if len(fields) > 1:
+        raise ValueError(f"mixed quadratic fields {sorted(fields)}")
+    dd = fields.pop() if fields else None
+    flat = [x for g in matrices for row in g for x in row]
+    if dd is None:
+        flat_a, den = linalg.clear_denominators(flat)
+    else:
+        flat_a, flat_b, den = linalg.clear_quadratic_denominators(flat)
+    vecs = [linalg.clear_denominators(p) for p in pts]
+
+    def images(flat_part):
+        """[j][s] -> G_s a_j for one part (rational or sqrt(D)) of the G_s."""
+        mats = [[flat_part[k:k + d] for k in range(s, s + d * d, d)]
+                for s in range(0, len(flat_part), d * d)]
+        return [[[sum(map(operator.mul, row, a)) for row in g] for g in mats]
+                for a, _ in vecs]
+
+    images_a = images(flat_a)
+    images_b = images(flat_b) if dd is not None else [None] * len(vecs)
+    nn = harmonic_dimension(d, n)
+    coeffs, c_den = integer_form(d, n)
+    odd = n % 2
+    out = []
+    for a_i, q_i in vecs:
+        out_row = []
+        for (_, q_j), img_a, img_b in zip(vecs, images_a, images_b):
+            y = q_i * q_j * den
+            total_den = nn * c_den * y ** n
+            xs_a = [sum(map(operator.mul, a_i, w)) for w in img_a]
+            if dd is None:
+                total = sum(_homogeneous(coeffs, odd, x, y) for x in xs_a)
+                out_row.append(Fraction(total, total_den))
+                continue
+            ta = tb = 0
+            for xa, w in zip(xs_a, img_b):
+                ha, hb = _homogeneous_quadratic(coeffs, odd, xa,
+                                                sum(map(operator.mul, a_i, w)), y, dd)
+                ta += ha
+                tb += hb
+            out_row.append(QuadExt(Fraction(ta, total_den), Fraction(tb, total_den), dd))
+        out.append(out_row)
+    return out
+
+
 def gram_matrix(d: int, n: int, pts) -> list[list[Fraction]]:
     """Gram matrix of the zonal functions at pts: entry (i,j) = P_n(v_i.v_j)/N_n."""
-    nn = harmonic_dimension(d, n)
-    p = gegenbauer(d, n)
-    k = len(pts)
-    g = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            val = evaluate(p, dot(pts[i], pts[j])) / nn
-            g[i][j] = val
-            g[j][i] = val
-    return g
+    return pairing_matrix(d, n, pts, [linalg.identity_matrix(d)])
 
 
 @dataclass
@@ -85,43 +158,63 @@ class ZonalBasis:
 
 
 def _greedy_select(d: int, n: int, candidates) -> ZonalBasis:
+    """Accept each candidate whose zonal function raises the rank of the Gram
+    matrix, until there are N_n.
+
+    With v_i = a_i / q_i the Gram matrix is G = S H S / (c N_n) for the
+    symmetric integer matrix H_ij = H(a_i . a_j, q_i q_j) and the positive
+    diagonal S = diag(q_i^-n), so the sign of the Schur complement of a
+    candidate is the sign of det H over the accepted points plus the
+    candidate.  That determinant is the last pivot of fraction-free (Bareiss)
+    elimination of the candidate's row against the accepted rows; by symmetry
+    the candidate's own partially eliminated entries supply the matching new
+    column of the accepted rows, which are stored for later candidates.
+    """
     nn = harmonic_dimension(d, n)
-    poly = gegenbauer(d, n)
+    coeffs, c_den = integer_form(d, n)
+    odd = n % 2
     accepted: list[tuple[Fraction, ...]] = []
-    gram: list[list[Fraction]] = []
-    inv: list[list[Fraction]] = []
-    det = Fraction(1)
-    g_diag = Fraction(1, nn)
+    scaled = []     # (a_i, q_i) of the accepted points
+    h_rows = []     # h_rows[i][j] = H_ij for j <= i
+    pivots = [1]    # pivots[k] = det of the leading k x k block of H
+    eliminated = []  # eliminated[k][j - k - 1] = row k of H after k steps, column j
     for v in candidates:
         if len(accepted) == nn:
             break
-        w = [evaluate(poly, dot(v, u)) / nn for u in accepted]
-        if accepted:
-            kw = linalg.mat_vec(inv, w)
-            schur = g_diag - sum((wi * ki for wi, ki in zip(w, kw)), Fraction(0))
-        else:
-            kw = []
-            schur = g_diag
-        if schur == 0:
+        a, q = linalg.clear_denominators(v)
+        h = [_homogeneous(coeffs, odd, sum(map(operator.mul, a, b)), q * qb)
+             for b, qb in scaled]
+        h.append(c_den * q ** (2 * n))  # H_vv, i.e. G_vv = 1/N_n as for a unit point
+        k_new = len(accepted)
+        r = list(h)
+        column = []
+        for k in range(k_new):
+            column.append(r[k])
+            pivot, prev, row_k = pivots[k + 1], pivots[k], eliminated[k]
+            for j in range(k + 1, k_new):
+                r[j] = (r[j] * pivot - r[k] * row_k[j - k - 1]) // prev
+            r[k_new] = (r[k_new] * pivot - r[k] * r[k]) // prev
+        if r[k_new] == 0:
             continue
-        if schur < 0:
+        if r[k_new] < 0:
             raise ArithmeticError("Gram matrix lost positive semidefiniteness")
-        # rank grows: extend the Gram matrix, its inverse and determinant
-        k = len(accepted)
-        new_inv = [[inv[i][j] + kw[i] * kw[j] / schur for j in range(k)] + [-kw[i] / schur]
-                   for i in range(k)]
-        new_inv.append([-kw[j] / schur for j in range(k)] + [Fraction(1) / schur])
-        inv = new_inv
-        for i in range(k):
-            gram[i].append(w[i])
-        gram.append(w + [g_diag])
-        det *= schur
+        for k in range(k_new):
+            eliminated[k].append(column[k])
+        eliminated.append([])
+        pivots.append(r[k_new])
+        h_rows.append(h)
+        scaled.append((a, q))
         accepted.append(v)
     if len(accepted) < nn:
         raise BudgetExceeded(
             f"point budget exhausted with {len(accepted)} of {nn} basis points "
             f"for (d={d}, n={n}); raise the budget factor")
-    return ZonalBasis(d=d, n=n, points=accepted, gram=gram, gram_det=det)
+    scale = c_den * nn
+    powers = [q ** n for _, q in scaled]
+    gram = [[Fraction(h_rows[max(i, j)][min(i, j)], scale * powers[i] * powers[j])
+             for j in range(nn)] for i in range(nn)]
+    gram_det = Fraction(pivots[-1], scale ** nn * math.prod(powers) ** 2)
+    return ZonalBasis(d=d, n=n, points=accepted, gram=gram, gram_det=gram_det)
 
 
 def build_zonal_basis(d: int, n: int, points=None,
@@ -162,26 +255,52 @@ def _cache_path(d: int, n: int) -> str | None:
 
 
 def _load_disk_cache(d: int, n: int) -> ZonalBasis | None:
+    """The cached basis for (d, n), or None when the file is missing or fails
+    any check (it is then rebuilt and overwritten)."""
     path = _cache_path(d, n)
     if not path or not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        if data.get("order_version") != ENUMERATION_ORDER_VERSION:
+        if not isinstance(data, dict) or data.get("order_version") != ENUMERATION_ORDER_VERSION:
             return None
-        return ZonalBasis.from_json(data)
-    except (OSError, ValueError, KeyError):
+        basis = ZonalBasis.from_json(data)
+        return basis if _is_sound(basis, d, n) else None
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
         return None
 
 
+def _is_sound(basis: ZonalBasis, d: int, n: int) -> bool:
+    """Do the stored points form a basis for (d, n) with the stored Gram data?
+
+    The Gram matrix is recomputed from the points and must equal the stored
+    one; its exact determinant must equal the stored, positive gram_det.
+    """
+    if (basis.d, basis.n) != (d, n) or len(basis.points) != harmonic_dimension(d, n):
+        return False
+    if any(len(p) != d or not is_unit_point(p) for p in basis.points):
+        return False
+    if basis.gram_det <= 0:
+        return False
+    gram = gram_matrix(d, n, basis.points)
+    return gram == basis.gram and linalg.det_rational(gram) == basis.gram_det
+
+
 def _store_disk_cache(basis: ZonalBasis) -> None:
+    """Write the basis under a temporary name, then rename it into place, so a
+    reader never sees a partly written file."""
     path = _cache_path(basis.d, basis.n)
     if not path:
         return
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(basis.to_json(), fh, sort_keys=True)
+        os.replace(tmp, path)
     except OSError:
-        pass
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass

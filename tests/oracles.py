@@ -2,8 +2,11 @@
 
 These deliberately avoid the production code paths they check: the orthogonal
 polynomials come from literal Gram-Schmidt over exact rational moments, sphere
-integrals from a Gauss-Legendre x uniform-angle product rule, and common-kernel
-questions from the rank of the stacked matrix.
+integrals from a Gauss-Legendre x uniform-angle product rule, common-kernel
+questions from the rank of the stacked matrix, determinants from Bareiss
+elimination on the scalar objects themselves, certificate matrices from
+entry-by-entry Gegenbauer evaluation, and zonal bases from Schur complements
+against an explicitly tracked inverse Gram matrix.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from spherediv.gegenbauer import RationalPolynomial, evaluate, weighted_inner_product
-from spherediv.linalg import rank
+from spherediv.gegenbauer import (RationalPolynomial, evaluate, gegenbauer,
+                                  harmonic_dimension, weighted_inner_product)
+from spherediv.linalg import mat_vec, one_like, rank, zero_like
+from spherediv.scalars import is_zero_scalar
 
 
 def gram_schmidt_gegenbauer(d: int, n: int) -> RationalPolynomial:
@@ -54,3 +59,81 @@ def stacked_kernel_intersection(matrices) -> bool:
     rows = [list(row) for m in matrices for row in m]
     cols = len(rows[0])
     return rank(rows) < cols
+
+
+def det_bareiss(m):
+    """Determinant by fraction-free elimination over the entries' own field
+    arithmetic (Fraction or QuadExt objects, every quotient normalised)."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = one_like(a[0][0])
+    for k in range(n - 1):
+        if is_zero_scalar(a[k][k]):
+            for i in range(k + 1, n):
+                if not is_zero_scalar(a[i][k]):
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return zero_like(a[0][0])
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+            a[i][k] = zero_like(a[i][k])
+        prev = a[k][k]
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def l_matrix_by_evaluate(d: int, n: int, rotations, points):
+    """(1/N_n) sum_s P_n(v_i . (g_s v_j)), one Horner evaluation per term over
+    the scalar objects of the tuple."""
+    poly = gegenbauer(d, n)
+    scale = Fraction(1, harmonic_dimension(d, n))
+    rows = []
+    for v in points:
+        row = []
+        for u in points:
+            total = None
+            for g in rotations.matrices:
+                w = mat_vec(g, list(u))
+                t = sum((a * b for a, b in zip(v[1:], w[1:])), v[0] * w[0])
+                term = evaluate(poly, t)
+                total = term if total is None else total + term
+            row.append(scale * total)
+        rows.append(row)
+    return rows
+
+
+def greedy_basis_by_inverse(d: int, n: int, candidates):
+    """(points, gram, gram_det) of the greedy zonal basis, tracking the inverse
+    Gram matrix in Fractions and accepting a candidate exactly when its Schur
+    complement is positive."""
+    nn = harmonic_dimension(d, n)
+    poly = gegenbauer(d, n)
+    accepted, gram, inv = [], [], []
+    det = Fraction(1)
+    g_diag = Fraction(1, nn)
+    for v in candidates:
+        if len(accepted) == nn:
+            break
+        w = [evaluate(poly, sum((a * b for a, b in zip(v, u)), Fraction(0))) / nn
+             for u in accepted]
+        kw = mat_vec(inv, w) if accepted else []
+        schur = g_diag - sum((wi * ki for wi, ki in zip(w, kw)), Fraction(0))
+        if schur == 0:
+            continue
+        assert schur > 0
+        k = len(accepted)
+        new_inv = [[inv[i][j] + kw[i] * kw[j] / schur for j in range(k)] + [-kw[i] / schur]
+                   for i in range(k)]
+        new_inv.append([-kw[j] / schur for j in range(k)] + [1 / schur])
+        inv = new_inv
+        for i in range(k):
+            gram[i].append(w[i])
+        gram.append(w + [g_diag])
+        det *= schur
+        accepted.append(v)
+    return accepted, gram, det

@@ -203,3 +203,20 @@ def test_missing_file_is_input_error():
 
 def test_malformed_angles_is_input_error():
     assert main(["circle", "classify", "--angles", "0.25,0"]) == 2
+
+
+def test_obstruct_rejects_non_finite_floating_tuple(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"mode": "floating", "dimension": 2, '
+                    '"matrices": [[[NaN, 0.0], [0.0, 1.0]]]}')
+    assert main(["obstruct", "--tuple", str(path), "--nmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_tuple_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["obstruct", "--tuple", str(path)]) == 2
+    assert "JSON object" in capsys.readouterr().err

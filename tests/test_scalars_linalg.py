@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherediv.cyclotomic import CycloNum, unit_vectors_sum_is_zero
 from spherediv.linalg import (det, det_cofactor, inverse, kernel_vector,
                               mat_mul, mat_vec, nullspace, rank, rref, solve)
 from spherediv.scalars import QuadExt, is_zero_scalar, scalar_to_float
+from oracles import det_bareiss
 
 
 def test_quadext_field_ops():
@@ -115,3 +117,50 @@ def test_scalar_to_float():
     assert abs(scalar_to_float(QuadExt(0, 1, 2)) - 2 ** 0.5) < 1e-12
     with pytest.raises(ValueError):
         scalar_to_float(CycloNum.root(8, 1))  # genuinely complex
+
+
+# -- det against the object-level Bareiss oracle ---------------------------------
+
+_small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 7))
+# zero is drawn often so that pivots vanish and force row swaps
+_rationals = st.one_of(st.just(Fraction(0)), _small_fractions)
+
+
+def _quad_entries(dd: int, mixed: bool):
+    quad = st.builds(QuadExt, _rationals, _rationals, st.just(dd))
+    return st.one_of(quad, _rationals) if mixed else quad
+
+
+@st.composite
+def _matrices(draw):
+    kind = draw(st.sampled_from(["fraction", "quad", "mixed"]))
+    dd = draw(st.sampled_from([2, 3, 5]))
+    entries = _rationals if kind == "fraction" else _quad_entries(dd, kind == "mixed")
+    n = draw(st.integers(1, 5))
+    m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["free", "zero_pivot", "singular"]))
+    if shape == "zero_pivot":
+        for i in range(n - 1):  # the first column is zero down to the last row
+            m[i][0] = Fraction(0)
+    elif shape == "singular" and n > 1:
+        c = draw(_small_fractions)
+        m[-1] = [c * x for x in m[0]]
+    return kind, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_det_matches_oracle_bareiss(case):
+    kind, m = case
+    got = det(m)
+    want = det_bareiss(m)
+    assert got == want
+    if kind == "fraction":
+        assert isinstance(got, Fraction) and str(got) == str(want)
+    if kind == "quad":
+        assert isinstance(got, QuadExt) and str(got) == str(want)
+
+
+def test_det_rejects_mixed_fields():
+    with pytest.raises(ValueError):
+        det([[QuadExt(0, 1, 2), Fraction(0)], [Fraction(0), QuadExt(0, 1, 3)]])

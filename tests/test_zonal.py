@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from spherediv.linalg import mat_vec
 from spherediv.points import cayley_rotation, enumerate_points, random_skew_matrix
 from spherediv.zonal import (ZonalBasis, build_zonal_basis, clear_cache, dot,
                              gram_matrix, zonal_evaluate)
-from oracles import sphere_average_s2
+from oracles import greedy_basis_by_inverse, sphere_average_s2
 
 
 def unit(d, i, sign=1):
@@ -102,6 +103,19 @@ def test_basis_independent_of_candidate_order():
         assert z1 == z2
 
 
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 1), (3, 2), (3, 5), (3, 8), (4, 2), (4, 5)])
+def test_basis_matches_inverse_tracking_oracle(d, n):
+    nn = harmonic_dimension(d, n)
+    base = enumerate_points(d, 10 * nn)
+    orders = [base, list(reversed(base))] if n <= 5 and d < 4 else [base]
+    for cands in orders:
+        b = build_zonal_basis(d, n, points=cands)
+        points, gram, gram_det = greedy_basis_by_inverse(d, n, cands)
+        assert b.points == points
+        assert b.gram == gram
+        assert b.gram_det == gram_det
+
+
 def test_cache_returns_same_object():
     clear_cache()
     assert build_zonal_basis(3, 1) is build_zonal_basis(3, 1)
@@ -116,6 +130,52 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     assert b1.points == b2.points and b1.gram == b2.gram
     assert list(tmp_path.glob("zonal-basis-*.json"))
     monkeypatch.delenv("SPHEREDIV_CACHE_DIR")
+    clear_cache()
+
+
+def _store_gram_of_points(data, with_det: bool):
+    # keep the stored Gram data consistent with the edited points, so that the
+    # check under test is the only one that can reject the file
+    from spherediv.linalg import det_rational
+
+    pts = [tuple(Fraction(c) for c in p) for p in data["points"]]
+    gram = gram_matrix(3, 2, pts)
+    data["gram"] = [[f"{c.numerator}/{c.denominator}" for c in row] for row in gram]
+    if with_det:
+        data["gram_det"] = str(det_rational(gram))
+
+
+def _non_unit_point(data):
+    data["points"][1] = [str(2 * Fraction(c)) for c in data["points"][1]]
+    _store_gram_of_points(data, with_det=True)
+
+
+def _duplicate_point(data):
+    data["points"][2] = data["points"][1]
+    _store_gram_of_points(data, with_det=False)
+
+
+def _edited_gram_det(data):
+    data["gram_det"] = str(2 * Fraction(data["gram_det"]))
+
+
+@pytest.mark.parametrize("corrupt", [_non_unit_point, _duplicate_point, _edited_gram_det])
+def test_disk_cache_rejects_and_rebuilds_corrupted_file(tmp_path, monkeypatch, corrupt):
+    from spherediv.zonal import _load_disk_cache
+
+    monkeypatch.setenv("SPHEREDIV_CACHE_DIR", str(tmp_path))
+    clear_cache()
+    good = build_zonal_basis(3, 2)
+    (path,) = tmp_path.glob("zonal-basis-d3-n2-*.json")
+    data = json.loads(path.read_text())
+    corrupt(data)
+    path.write_text(json.dumps(data))
+    assert _load_disk_cache(3, 2) is None
+    clear_cache()
+    rebuilt = build_zonal_basis(3, 2)
+    assert rebuilt.points == good.points and rebuilt.gram_det == good.gram_det
+    assert json.loads(path.read_text()) == good.to_json()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
     clear_cache()
 
 
