@@ -77,6 +77,9 @@ def parse_word(text: str) -> GroupWord:
 
 def evaluate_word(word: GroupWord, rotations: RotationTuple):
     """Product of the generators and their transposes named by the word."""
+    for g, e in word.letters:
+        if g > rotations.r:
+            raise ValueError(f"bad letter ({g}, {e}): the tuple has {rotations.r} generators")
     d = rotations.dimension
     if rotations.mode == "floating":
         acc = np.eye(d)

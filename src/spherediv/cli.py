@@ -134,6 +134,9 @@ def cmd_tile(args) -> dict:
 def cmd_orbit(args) -> dict:
     rotations = _load_tuple(args.tuple)
     start = _parse_point(args.point, rotations.mode == "floating")
+    if len(start) != rotations.dimension:
+        raise ValueError(f"--point has {len(start)} coordinates, the tuple has "
+                         f"dimension {rotations.dimension}")
     report = orbit(start, rotations, cap=args.cap)
     if rotations.mode == "exact":
         points = [[format_fraction(c) for c in p] for p in report.points]

@@ -180,12 +180,24 @@ class FractionalWitness:
 
     def evaluate_fraction(self, x) -> float:
         """Float value of f = 1/r + sum_j c_j P_n(v_j . x) at a sphere point."""
-        d = len(self.points[0])
-        poly = gegenbauer(d, self.degree)
-        val = 1.0 / self.r
+        return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
+
+    def evaluate_many(self, xs) -> np.ndarray:
+        """f at each row of the float array xs.  The dot products are summed
+        coordinate by coordinate, P_n is evaluated by Horner's rule with
+        float coefficients and the terms are added in basis order, all
+        elementwise over the rows, so every row gets the same float
+        operations, in the same order, as a one-point evaluation."""
+        coeffs = [float(c) for c in gegenbauer(len(self.points[0]), self.degree).coefficients]
+        val = np.full(len(xs), 1.0 / self.r)
         for c, v in zip(self.coefficients, self.points):
-            vf = [float(t) for t in v]
-            val += scalar_to_float(c) * float(evaluate(poly, sum(a * b for a, b in zip(vf, x))))
+            t = 0
+            for k, a in enumerate(v):
+                t = t + float(a) * xs[:, k]
+            acc = coeffs[-1]
+            for b in reversed(coeffs[:-1]):
+                acc = acc * t + b
+            val = val + scalar_to_float(c) * acc
         return val
 
     def to_json(self) -> dict:
@@ -244,14 +256,16 @@ def extract_witness(rotations: RotationTuple, n: int,
 
 def _validate_witness(rotations: RotationTuple, witness: FractionalWitness,
                       samples: int, seed: int) -> float:
+    """Largest |sum_i f(g_i^{-1} x) - 1| over ``samples`` seeded random unit x."""
     d = rotations.dimension
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(samples, d))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    inv_mats = [np.array([[scalar_to_float(x) for x in row] for row in rotations.inverse_matrix(i)])
-                for i in range(rotations.r)]
-    worst = 0.0
-    for x in xs:
-        total = sum(witness.evaluate_fraction(m @ x) for m in inv_mats)
-        worst = max(worst, abs(total - 1.0))
-    return worst
+    total = 0
+    for i in range(rotations.r):
+        m = np.array([[scalar_to_float(x) for x in row] for row in rotations.inverse_matrix(i)])
+        # one matrix-vector product per sample: a matrix product over all
+        # samples may sum in another order and change max_residual's digits
+        images = np.array([m @ x for x in xs]).reshape(samples, d)
+        total = total + witness.evaluate_many(images)
+    return float(np.max(np.abs(total - 1.0), initial=0.0))

@@ -3,13 +3,16 @@
 Rational points come from the inverse stereographic projection
 w |-> (2w, |w|^2 - 1) / (|w|^2 + 1) over Q^{d-1}, enumerated by coordinate
 height; this produces a dense subset of S^{d-1} containing the signed
-standard basis.  Exact rotations come from the Cayley transform of rational
-skew-symmetric matrices, from circle rotations represented over roots of
-unity, or from axis rotations with quadratic-irrational entries.
+standard basis.  The enumeration works on integer vectors over a common
+denominator and builds Fractions only for the points it returns.  Exact
+rotations come from the Cayley transform of rational skew-symmetric matrices,
+from circle rotations represented over roots of unity, or from axis rotations
+with quadratic-irrational entries.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,14 +47,14 @@ def _stereographic(w: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(2 * x / denom for x in w) + ((s - 1) / denom,)
 
 
-def _rationals_up_to_height(h: int) -> list[Fraction]:
-    vals = {Fraction(0)}
+def _parameters_up_to_height(h: int) -> list[tuple[int, int]]:
+    """The rationals p/q with max(|p|, q) <= h, as reduced pairs (p, q)."""
+    vals = [(0, 1)]
     for p in range(1, h + 1):
         for q in range(1, h + 1):
-            if math.gcd(p, q) == 1 and max(p, q) <= h:
-                vals.add(Fraction(p, q))
-                vals.add(Fraction(-p, q))
-    return sorted(vals)
+            if math.gcd(p, q) == 1:
+                vals += [(p, q), (-p, q)]
+    return vals
 
 
 def enumerate_points(d: int, count: int) -> list[tuple[Fraction, ...]]:
@@ -59,34 +62,45 @@ def enumerate_points(d: int, count: int) -> list[tuple[Fraction, ...]]:
 
     Deterministic; the signed standard basis vectors (the only points of
     height 1) always come first.  Ties are broken lexicographically.
+
+    The candidates are the stereographic images of the parameters w in
+    Q^{d-1} with every coordinate of height at most h, plus e_d (the one
+    signed basis vector the map misses), for the least h giving at least
+    max(2 count, count + 2d) of them.  The map is injective, so that h is
+    known from the number of parameters alone.  Each image is the integer
+    vector (2 b m, s - m^2) over s + m^2, for w = b / m and s = |b|^2, and its
+    height is read off with integer gcds; Fractions are built only for the
+    candidates no higher than the count-th lowest.
     """
     if d < 1 or count < 1:
         raise ValueError("need d >= 1 and count >= 1")
-    pool = set()
-    for i in range(d):
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        pool.add(tuple(e))
-        e[i] = Fraction(-1)
-        pool.add(tuple(e))
     if d == 1:
         if count > 2:
             raise BudgetExceeded("S^0 has only two points")
-        return sorted(pool, key=lambda p: (point_height(p), p))[:count]
+        return [(Fraction(-1),), (Fraction(1),)][:count]
     target = max(2 * count, count + 2 * d)
-    h = 0
-    while len(pool) < target:
+    h = 1
+    vals = _parameters_up_to_height(h)
+    while len(vals) ** (d - 1) + 1 < target:
         h += 1
         if h > 64:
             raise BudgetExceeded("parameter height budget exhausted")
-        vals = _rationals_up_to_height(h)
-        grid = [()]
-        for _ in range(d - 1):
-            grid = [g + (v,) for g in grid for v in vals]
-        for w in grid:
-            pool.add(_stereographic(w))
-    ordered = sorted(pool, key=lambda p: (point_height(p), p))
-    return ordered[:count]
+        vals = _parameters_up_to_height(h)
+    candidates = []
+    for w in itertools.product(vals, repeat=d - 1):
+        m = math.lcm(*(q for _, q in w))
+        b = [p * (m // q) for p, q in w]
+        s = sum(x * x for x in b)
+        mm = m * m
+        den = s + mm
+        xs = [2 * x * m for x in b]
+        xs.append(s - mm)
+        candidates.append((max(den // math.gcd(x, den) for x in xs), xs, den))
+    candidates.append((1, [0] * (d - 1) + [1], 1))  # e_d
+    cutoff = sorted(hgt for hgt, _, _ in candidates)[count - 1]
+    chosen = sorted((hgt, tuple(Fraction(x, den) for x in xs))
+                    for hgt, xs, den in candidates if hgt <= cutoff)
+    return [p for _, p in chosen[:count]]
 
 
 def approximate_point(d: int, target, eps: float,

@@ -15,16 +15,8 @@ def format_fraction(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_fraction(s) -> Fraction:
-    return Fraction(s)
-
-
 def point_to_json(p) -> list[str]:
     return [format_fraction(c) for c in p]
-
-
-def point_from_json(data) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in data)
 
 
 def tuple_to_json(t: RotationTuple) -> dict:

@@ -5,20 +5,25 @@ polynomials come from literal Gram-Schmidt over exact rational moments, sphere
 integrals from a Gauss-Legendre x uniform-angle product rule, common-kernel
 questions from the rank of the stacked matrix, determinants from Bareiss
 elimination on the scalar objects themselves, certificate matrices from
-entry-by-entry Gegenbauer evaluation, and zonal bases from Schur complements
-against an explicitly tracked inverse Gram matrix.
+entry-by-entry Gegenbauer evaluation, zonal bases from Schur complements
+against an explicitly tracked inverse Gram matrix, rational sphere points from
+a sorted pool of Fraction stereographic images, and witness residuals from a
+loop over samples, rotations and basis points.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from spherediv.gegenbauer import (RationalPolynomial, evaluate, gegenbauer,
                                   harmonic_dimension, weighted_inner_product)
+from spherediv.errors import BudgetExceeded
 from spherediv.linalg import mat_vec, one_like, rank, zero_like
-from spherediv.scalars import is_zero_scalar
+from spherediv.scalars import is_zero_scalar, scalar_to_float
 
 
 def gram_schmidt_gegenbauer(d: int, n: int) -> RationalPolynomial:
@@ -137,3 +142,75 @@ def greedy_basis_by_inverse(d: int, n: int, candidates):
         det *= schur
         accepted.append(v)
     return accepted, gram, det
+
+
+def _point_height(point) -> int:
+    return max([1] + [max(abs(c.numerator), c.denominator) for c in point])
+
+
+@functools.lru_cache(maxsize=None)
+def _stereographic_pool(d: int, h: int) -> list:
+    """The signed standard basis plus the stereographic images of the
+    parameter grids of heights 1..h in Q^{d-1}, sorted by (height, point)."""
+    if h == 0:
+        pool = set()
+        for i in range(d):
+            for sign in (1, -1):
+                e = [Fraction(0)] * d
+                e[i] = Fraction(sign)
+                pool.add(tuple(e))
+    else:
+        pool = set(_stereographic_pool(d, h - 1))
+        vals = {Fraction(sign * p, q) for p in range(h + 1) for q in range(1, h + 1)
+                for sign in (1, -1) if math.gcd(p, q) == 1}
+        grid = [()]
+        for _ in range(d - 1):
+            grid = [g + (v,) for g in grid for v in vals]
+        for w in grid:
+            s = sum((x * x for x in w), Fraction(0))
+            pool.add(tuple(2 * x / (s + 1) for x in w) + ((s - 1) / (s + 1),))
+    return sorted(pool, key=lambda p: (_point_height(p), p))
+
+
+def enumerate_points_by_pool(d: int, count: int):
+    """First ``count`` points of the Fraction pool of the least height h
+    holding max(2 count, count + 2d) distinct points."""
+    if d == 1:
+        if count > 2:
+            raise BudgetExceeded("S^0 has only two points")
+        return _stereographic_pool(1, 0)[:count]
+    target = max(2 * count, count + 2 * d)
+    h = 1
+    while len(_stereographic_pool(d, h)) < target:
+        h += 1
+        if h > 64:
+            raise BudgetExceeded("parameter height budget exhausted")
+    return _stereographic_pool(d, h)[:count]
+
+
+def witness_value_by_point(witness, x) -> float:
+    """f = 1/r + sum_j c_j P_n(v_j . x) at one float point, by Horner over the
+    polynomial's Fraction coefficients, one basis point at a time."""
+    poly = gegenbauer(len(witness.points[0]), witness.degree)
+    val = 1.0 / witness.r
+    for c, v in zip(witness.coefficients, witness.points):
+        vf = [float(t) for t in v]
+        val += scalar_to_float(c) * float(evaluate(poly, sum(a * b for a, b in zip(vf, x))))
+    return val
+
+
+def witness_residual_by_sample(rotations, witness, samples: int, seed: int) -> float:
+    """Largest |sum_i f(g_i^{-1} x) - 1| over the seeded random unit x, one
+    sample and rotation at a time."""
+    d = rotations.dimension
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(samples, d))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    inv_mats = [np.array([[scalar_to_float(x) for x in row]
+                          for row in rotations.inverse_matrix(i)])
+                for i in range(rotations.r)]
+    worst = 0.0
+    for x in xs:
+        total = sum(witness_value_by_point(witness, m @ x) for m in inv_mats)
+        worst = max(worst, abs(total - 1.0))
+    return worst

@@ -130,6 +130,22 @@ def test_fixed_point_test_command(tmp_path, capsys):
     assert data["common_fixed_point"] is True
 
 
+def test_orbit_rejects_a_point_of_the_wrong_dimension(tmp_path, capsys):
+    path = write_tuple(tmp_path, z_axis_rotation_tuple([F(1, 4), F(0)], d=3))
+    assert main(["orbit", "--tuple", path, "--point", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2 coordinates" in captured.err and "dimension 3" in captured.err
+
+
+def test_fixed_point_test_rejects_a_generator_above_r(tmp_path, capsys):
+    path = write_tuple(tmp_path, z_axis_rotation_tuple([F(1, 4)], d=3))
+    assert main(["fixed-point-test", "--tuple", path, "--words", "g5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad letter (5, 1)" in captured.err
+
+
 def test_euler_check_command(tmp_path, capsys):
     rz = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
     rx = [[F(1), F(0), F(0)], [F(0), F(0), F(-1)], [F(0), F(1), F(0)]]

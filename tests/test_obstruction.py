@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -6,15 +7,19 @@ import pytest
 
 from spherediv.circle import Angle, necessary_degrees
 from spherediv.gegenbauer import evaluate, gegenbauer
+from spherediv import linalg
 from spherediv.linalg import det
-from spherediv.obstruction import (certify_degrees, default_n_max,
-                                   extract_witness, g_function, l_matrix)
+from spherediv.obstruction import (WITNESS_RESIDUAL_TOL, WITNESS_SAMPLE_COUNT,
+                                   _validate_witness, certify_degrees,
+                                   default_n_max, extract_witness, g_function,
+                                   l_matrix)
 from spherediv.points import (cayley_rotation, circle_rotation_tuple,
                               exact_tuple, floating_tuple, identity_tuple,
                               random_skew_matrix, z_axis_rotation_tuple)
-from spherediv.scalars import scalar_to_float
+from spherediv.scalars import is_zero_scalar, scalar_to_float
 from spherediv.zonal import build_zonal_basis
-from oracles import l_matrix_by_evaluate
+from oracles import (l_matrix_by_evaluate, witness_residual_by_sample,
+                     witness_value_by_point)
 
 
 def test_g_function_identities():
@@ -149,6 +154,61 @@ def test_witness_quad_mode():
     t = z_axis_rotation_tuple([Fraction(1, 3), Fraction(2, 3), Fraction(0)])
     w = extract_witness(t, 3)
     assert w.max_residual <= 1e-9
+
+
+WITNESS_CASES = [
+    ("quad r=3", z_axis_rotation_tuple([Fraction(1, 3), Fraction(2, 3), Fraction(0)]), 3),
+    ("quad r=5", z_axis_rotation_tuple([Fraction(0), Fraction(1, 3), Fraction(2, 3),
+                                        Fraction(1, 4), Fraction(3, 4)]), 2),
+    ("exact r=4", z_axis_rotation_tuple([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4),
+                                         Fraction(0)]), 1),
+    ("exact d=4", z_axis_rotation_tuple([Fraction(1, 2), Fraction(0)], d=4), 2),
+    ("circle r=3", circle_rotation_tuple([Fraction(1, 3), Fraction(2, 3), Fraction(0)]), 2),
+    ("circle r=5", circle_rotation_tuple([Fraction(k, 5) for k in range(5)]), 1),
+]
+
+
+# the quad and d = 4 witnesses put weight on basis points with three or more
+# nonzero coordinates, where a reordered dot product changes the rounding
+@pytest.mark.parametrize("name,t,n", WITNESS_CASES, ids=[c[0] for c in WITNESS_CASES])
+def test_validate_witness_matches_per_sample_oracle(name, t, n):
+    w = extract_witness(t, n)
+    assert w.max_residual == witness_residual_by_sample(t, w, WITNESS_SAMPLE_COUNT, 0)
+    assert _validate_witness(t, w, 300, 7) == witness_residual_by_sample(t, w, 300, 7)
+    xs = np.random.default_rng(3).normal(size=(200, t.dimension))
+    assert w.evaluate_many(xs).tolist() == [witness_value_by_point(w, x) for x in xs]
+
+
+def _annihilated(t, n, j) -> bool:
+    """Does the tuple sum kill the zonal function of basis point j (column j
+    of L is zero)?"""
+    lm = l_matrix(t.dimension, n, t, build_zonal_basis(t.dimension, n))
+    return all(is_zero_scalar(row[j]) for row in lm)
+
+
+def test_validation_fails_for_a_perturbed_coefficient():
+    t = z_axis_rotation_tuple([Fraction(1, 3), Fraction(2, 3), Fraction(0)])
+    w = extract_witness(t, 2)
+    j = next(j for j in range(len(w.points)) if not _annihilated(t, 2, j))
+    coeffs = list(w.coefficients)
+    coeffs[j] = coeffs[j] + Fraction(1, 10 ** 6)
+    bad = dataclasses.replace(w, coefficients=coeffs)
+    assert _validate_witness(t, bad, WITNESS_SAMPLE_COUNT, 0) > WITNESS_RESIDUAL_TOL
+
+
+def test_extract_witness_rejects_a_wrong_kernel_vector(monkeypatch):
+    t = z_axis_rotation_tuple([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(0)])
+    j = next(j for j in range(3) if not _annihilated(t, 1, j))
+    real = linalg.kernel_vector
+
+    def wrong(m):
+        v = real(m)
+        v[j] = v[j] + 1
+        return v
+
+    monkeypatch.setattr(linalg, "kernel_vector", wrong)
+    with pytest.raises(ArithmeticError):
+        extract_witness(t, 1)
 
 
 def test_witness_refused_when_obstructed():

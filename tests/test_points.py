@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 
 from spherediv.errors import BudgetExceeded
+from spherediv.gegenbauer import harmonic_dimension
 from spherediv.linalg import det, mat_mul, transpose
+from spherediv.obstruction import default_n_max
 from spherediv.points import (approximate_point, cayley_rotation,
                               circle_rotation_tuple, enumerate_points,
                               exact_tuple, floating_tuple, identity_tuple,
                               is_unit_point, point_height, random_skew_matrix,
                               validate_tuple, z_axis_rotation_tuple)
+from oracles import enumerate_points_by_pool
 
 
 def test_signed_basis_comes_first():
@@ -52,6 +55,18 @@ def test_dimension_one():
     assert set(enumerate_points(1, 2)) == {(Fraction(1),), (Fraction(-1),)}
     with pytest.raises(BudgetExceeded):
         enumerate_points(1, 3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_enumerate_points_matches_pool_oracle(d):
+    if d == 1:
+        counts = [1, 2]
+    else:
+        # plus the candidate counts build_zonal_basis asks for
+        counts = list(range(1, 60)) + [100, 200, 333] + [
+            10 * harmonic_dimension(d, n) for n in range(1, default_n_max(d) + 1)]
+    for count in counts:
+        assert enumerate_points(d, count) == enumerate_points_by_pool(d, count), count
 
 
 def test_approximate_axis_is_exact():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -114,6 +115,33 @@ def test_basis_matches_inverse_tracking_oracle(d, n):
         assert b.points == points
         assert b.gram == gram
         assert b.gram_det == gram_det
+
+
+# sha256 of the canonical JSON of every default basis up to default_n_max(d),
+# first 16 hex digits; a change here invalidates existing disk caches and
+# needs a new ENUMERATION_ORDER_VERSION
+DEFAULT_BASIS_DIGESTS = {
+    (2, 1): "6367836bad66b860", (2, 2): "83713eb69da4ecdf", (2, 3): "58d886e1f4e3c14a",
+    (2, 4): "c56bde1418711908", (2, 5): "49574060a73814d4", (2, 6): "fc02ae5948edb7cc",
+    (2, 7): "0fc114b8ce2132b4", (2, 8): "b9065589417dcce2",
+    (3, 1): "0e9df1ede4f76a8d", (3, 2): "99ae6dab110a32d3", (3, 3): "9e0361a705dc45a8",
+    (3, 4): "86780bea747b74cc", (3, 5): "a46807008fd2c5aa", (3, 6): "5796dea85c7394c2",
+    (3, 7): "589968d3b09e47ad", (3, 8): "a58e532ba34f0569",
+    (4, 1): "e40e64b78777e372", (4, 2): "eca2ff9f165a0444", (4, 3): "19d1973b21cb278e",
+    (4, 4): "0c52898206fcae35", (4, 5): "e93e41291524e198",
+    (5, 1): "15c13cf6aad8c4d1", (5, 2): "79aca9d1860e65b4", (5, 3): "cc4ecccc0090fc78",
+}
+
+
+def test_default_bases_unchanged(monkeypatch):
+    from spherediv.zonal import ENUMERATION_ORDER_VERSION
+
+    assert ENUMERATION_ORDER_VERSION == 1
+    monkeypatch.delenv("SPHEREDIV_CACHE_DIR", raising=False)
+    clear_cache()
+    for (d, n), want in DEFAULT_BASIS_DIGESTS.items():
+        text = json.dumps(build_zonal_basis(d, n).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (d, n)
 
 
 def test_cache_returns_same_object():
