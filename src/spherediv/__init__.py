@@ -17,10 +17,9 @@ from .circle import Angle, ArcSet, CircleClassification, classify, divide_r2, \
     verify_arcset
 from .errors import BudgetExceeded
 from .gegenbauer import RationalPolynomial, evaluate, gegenbauer, \
-    harmonic_dimension, normalized_moment, sphere_surface_area, \
-    weighted_inner_product
+    harmonic_dimension, normalized_moment, weighted_inner_product
 from .obstruction import FractionalWitness, ObstructionReport, certify_degrees, \
-    extract_witness, g_function, l_matrix
+    extract_witness, l_matrix
 from .points import RotationTuple, approximate_point, cayley_rotation, \
     circle_rotation_tuple, enumerate_points, exact_tuple, floating_tuple, \
     identity_tuple, validate_tuple, z_axis_rotation_tuple

@@ -9,6 +9,7 @@ span, and exact-cover division of a single finite orbit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import linalg
 from .points import RotationTuple
+from .tiling import DEFAULT_NODE_BUDGET, exact_cover
 from .scalars import is_zero_scalar, scalar_to_float
 
 FLOAT_DEDUP_TOL = 1e-8
@@ -159,34 +161,120 @@ def common_fixed_point_test(matrices, floating: bool = False):
 
 
 class _FloatIndex:
-    """Grid-hash index of float vectors with a dedup tolerance."""
+    """Tolerance index of float points, or of matrices through ``np.ravel``.
+
+    Items are bucketed by their projection onto a fixed generic direction w;
+    two items within 4 * tol in the max norm project less than one bucket
+    width apart, so a lookup probes three buckets whatever the length of the
+    items, and items farther apart than 4 * tol are never matched.
+    """
 
     def __init__(self, tol: float = FLOAT_DEDUP_TOL):
         self.tol = tol
-        self.by_key: dict[tuple, int] = {}
+        self.buckets: dict[int, list[int]] = {}
         self.items: list[np.ndarray] = []
+        self.direction: np.ndarray | None = None
+        self.width = 0.0
 
-    def _key(self, v: np.ndarray) -> tuple:
-        return tuple(int(round(c / self.tol)) for c in v)
+    def _bucket(self, v: np.ndarray) -> int:
+        if self.direction is None:
+            self.direction = np.cos(np.arange(1.0, v.size + 1.0))
+            self.width = 4 * self.tol * float(np.sum(np.abs(self.direction)))
+        position = float(self.direction @ v) / self.width
+        if not math.isfinite(position):
+            raise ValueError("cannot index a float item with non-finite or "
+                             "overflowing coordinates")
+        return math.floor(position)
 
-    def _neighbors(self, key: tuple):
-        out = [()]
-        for k in key:
-            out = [p + (k + dk,) for p in out for dk in (-1, 0, 1)]
-        return out
-
-    def find(self, v: np.ndarray) -> int | None:
-        for key in self._neighbors(self._key(v)):
-            idx = self.by_key.get(key)
-            if idx is not None and np.max(np.abs(self.items[idx] - v)) <= 4 * self.tol:
-                return idx
+    def find(self, x) -> int | None:
+        v = np.ravel(x)
+        b = self._bucket(v)
+        for key in (b, b - 1, b + 1):
+            for idx in self.buckets.get(key, ()):
+                if np.max(np.abs(self.items[idx] - v)) <= 4 * self.tol:
+                    return idx
         return None
 
-    def add(self, v: np.ndarray) -> int:
+    def add(self, x) -> int:
+        v = np.ravel(x)
         idx = len(self.items)
         self.items.append(v)
-        self.by_key[self._key(v)] = idx
+        self.buckets.setdefault(self._bucket(v), []).append(idx)
         return idx
+
+
+class _ExactIndex:
+    """Index of exact points (tuples) by equality; a matrix (a list of rows)
+    is keyed as a tuple of row tuples."""
+
+    def __init__(self):
+        self.where: dict[tuple, int] = {}
+        self.size = 0
+
+    @staticmethod
+    def _key(x) -> tuple:
+        return x if isinstance(x, tuple) else tuple(map(tuple, x))
+
+    def find(self, x) -> int | None:
+        return self.where.get(self._key(x))
+
+    def add(self, x) -> int:
+        idx = self.size
+        self.where[self._key(x)] = idx
+        self.size += 1
+        return idx
+
+
+def dedup_index(mode: str):
+    """Empty index (``find``/``add``) for points or matrices of the given mode:
+    within tolerance for "floating", by exact equality otherwise."""
+    return _FloatIndex() if mode == "floating" else _ExactIndex()
+
+
+def native(items, mode: str) -> list:
+    """Matrices or points in the arithmetic of the mode: float arrays for
+    "floating", unchanged otherwise."""
+    if mode == "floating":
+        return [np.array(x, dtype=float) for x in items]
+    return list(items)
+
+
+def act(m, v):
+    """The point m . v: a float array for a float matrix, an exact tuple
+    otherwise."""
+    if isinstance(m, np.ndarray):
+        return m @ v
+    return tuple(linalg.mat_vec(m, list(v)))
+
+
+def _plain(x):
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def _generators(rotations: RotationTuple) -> list:
+    """The generators followed by their inverses."""
+    inverses = [rotations.inverse_matrix(i) for i in range(rotations.r)]
+    return native(list(rotations.matrices) + inverses, rotations.mode)
+
+
+def _closure(start, moves, index, cap: int):
+    """Breadth-first closure of start under the moves, deduplicated by index:
+    (items in discovery order, complete); incomplete once more than cap items
+    are known."""
+    index.add(start)
+    queue = [start]
+    head = 0
+    while head < len(queue):
+        if len(queue) > cap:
+            return queue, False
+        x = queue[head]
+        head += 1
+        for move in moves:
+            y = move(x)
+            if index.find(y) is None:
+                index.add(y)
+                queue.append(y)
+    return queue, True
 
 
 @dataclass
@@ -202,54 +290,19 @@ class OrbitReport:
         return len(self.points)
 
 
-def _generator_actions(rotations: RotationTuple):
-    """Generators and their inverses as callables on points."""
-    if rotations.mode == "floating":
-        mats = [np.array(m, dtype=float) for m in rotations.matrices]
-        mats += [m.T for m in mats[:len(rotations.matrices)]]
-        return [lambda v, m=m: m @ v for m in mats]
-    mats = list(rotations.matrices) + [rotations.inverse_matrix(i)
-                                       for i in range(rotations.r)]
-    return [lambda v, m=m: tuple(linalg.mat_vec(m, list(v))) for m in mats]
-
-
 def orbit(start, rotations: RotationTuple, cap: int = 10 ** 4) -> OrbitReport:
     """Breadth-first closure of a point under the generators and inverses."""
-    actions = _generator_actions(rotations)
+    if len(start) != rotations.dimension:
+        raise ValueError(f"the start point has {len(start)} coordinates, the tuple "
+                         f"has dimension {rotations.dimension}")
     if rotations.mode == "floating":
-        index = _FloatIndex()
         v0 = np.array([float(c) for c in start], dtype=float)
-        index.add(v0)
-        queue = [v0]
-        head = 0
-        while head < len(queue):
-            if len(queue) > cap:
-                return OrbitReport(tuple(v0.tolist()), [q.tolist() for q in queue],
-                                   False, cap, rotations.mode)
-            v = queue[head]
-            head += 1
-            for act in actions:
-                w = act(v)
-                if index.find(w) is None:
-                    index.add(w)
-                    queue.append(w)
-        return OrbitReport(tuple(v0.tolist()), [q.tolist() for q in queue],
-                           True, cap, rotations.mode)
-    v0 = tuple(Fraction(c) if isinstance(c, (int, Fraction)) else c for c in start)
-    seen = {v0: 0}
-    queue = [v0]
-    head = 0
-    while head < len(queue):
-        if len(queue) > cap:
-            return OrbitReport(v0, list(queue), False, cap, rotations.mode)
-        v = queue[head]
-        head += 1
-        for act in actions:
-            w = act(v)
-            if w not in seen:
-                seen[w] = len(queue)
-                queue.append(w)
-    return OrbitReport(v0, list(queue), True, cap, rotations.mode)
+    else:
+        v0 = tuple(Fraction(c) if isinstance(c, (int, Fraction)) else c for c in start)
+    moves = [functools.partial(act, m) for m in _generators(rotations)]
+    points, finite = _closure(v0, moves, dedup_index(rotations.mode), cap)
+    return OrbitReport(tuple(_plain(v0)), [_plain(p) for p in points], finite, cap,
+                       rotations.mode)
 
 
 @dataclass
@@ -268,47 +321,13 @@ def enumerate_group(rotations: RotationTuple, cap: int = 10 ** 4) -> GroupEnumer
     (exact modes) or within tolerance (floating)."""
     d = rotations.dimension
     if rotations.mode == "floating":
-        gens = [np.array(m, dtype=float) for m in rotations.matrices]
-        gens += [m.T for m in gens[:len(rotations.matrices)]]
-        index = _FloatIndex()
-        ident = np.eye(d)
-        index.add(ident.reshape(-1))
-        queue = [ident]
-        head = 0
-        while head < len(queue):
-            if len(queue) > cap:
-                return GroupEnumeration([q.tolist() for q in queue], False, cap)
-            m = queue[head]
-            head += 1
-            for g in gens:
-                w = g @ m
-                if index.find(w.reshape(-1)) is None:
-                    index.add(w.reshape(-1))
-                    queue.append(w)
-        return GroupEnumeration([q.tolist() for q in queue], True, cap)
-    gens = list(rotations.matrices) + [rotations.inverse_matrix(i)
-                                       for i in range(rotations.r)]
-    like = rotations.matrices[0][0][0]
-    ident = linalg.identity_matrix(d, like=like)
-
-    def key(m):
-        return tuple(tuple(row) for row in m)
-
-    seen = {key(ident)}
-    queue = [ident]
-    head = 0
-    while head < len(queue):
-        if len(queue) > cap:
-            return GroupEnumeration(list(queue), False, cap)
-        m = queue[head]
-        head += 1
-        for g in gens:
-            w = linalg.mat_mul(g, m)
-            k = key(w)
-            if k not in seen:
-                seen.add(k)
-                queue.append(w)
-    return GroupEnumeration(list(queue), True, cap)
+        ident, product = np.eye(d), np.matmul
+    else:
+        ident = linalg.identity_matrix(d, like=rotations.matrices[0][0][0])
+        product = linalg.mat_mul
+    moves = [functools.partial(product, g) for g in _generators(rotations)]
+    elements, complete = _closure(ident, moves, dedup_index(rotations.mode), cap)
+    return GroupEnumeration([_plain(m) for m in elements], complete, cap)
 
 
 # -- invariant splitting ---------------------------------------------------------
@@ -425,31 +444,18 @@ def orbit_size_bound_check(split: InvariantSplit, rotations: RotationTuple,
 
 def _orbit_permutations(report: OrbitReport, rotations: RotationTuple):
     """For each generator, the permutation j -> index of g_i . p_j."""
-    if rotations.mode == "floating":
-        index = _FloatIndex()
-        pts = [np.array(p, dtype=float) for p in report.points]
-        for p in pts:
-            index.add(p)
-        perms = []
-        for m in rotations.matrices:
-            g = np.array(m, dtype=float)
-            perm = []
-            for p in pts:
-                j = index.find(g @ p)
-                if j is None:
-                    raise ArithmeticError("orbit is not closed under a generator")
-                perm.append(j)
-            perms.append(perm)
-        return perms
-    where = {p: i for i, p in enumerate(report.points)}
+    index = dedup_index(rotations.mode)
+    points = native(report.points, rotations.mode)
+    for p in points:
+        index.add(p)
     perms = []
-    for m in rotations.matrices:
+    for m in native(rotations.matrices, rotations.mode):
         perm = []
-        for p in report.points:
-            image = tuple(linalg.mat_vec(m, list(p)))
-            if image not in where:
+        for p in points:
+            j = index.find(act(m, p))
+            if j is None:
                 raise ArithmeticError("orbit is not closed under a generator")
-            perm.append(where[image])
+            perm.append(j)
         perms.append(perm)
     return perms
 
@@ -457,43 +463,20 @@ def _orbit_permutations(report: OrbitReport, rotations: RotationTuple):
 def divide_finite_orbit(report: OrbitReport, rotations: RotationTuple):
     """Subset A of the orbit whose generator translates partition it, or None.
 
-    Canonical exact-cover search over the orbit's labelled action graph:
-    always cover the smallest-index uncovered point (indices in breadth-first
-    discovery order), candidates in increasing order.
+    An exact cover of the orbit by the rows a -> {g_i . p_a}, solved by the
+    tiling engine: always cover the smallest-index uncovered point (indices in
+    breadth-first discovery order), candidates in increasing order.  A row
+    whose images repeat a point is never chosen.  Raises BudgetExceeded past
+    the default node budget.
     """
     if not report.finite:
         raise ValueError("orbit division needs a finite orbit")
     perms = _orbit_permutations(report, rotations)
     size = report.size
-    r = len(perms)
-    if r == 0 or size % r != 0:
+    if not perms or size % len(perms) != 0:
         return None
-    inverse = [[0] * size for _ in range(r)]
-    for i, perm in enumerate(perms):
-        for j, img in enumerate(perm):
-            inverse[i][img] = j
-    covered = [False] * size
-    chosen: list[int] = []
-
-    def dfs() -> bool:
-        y = next((i for i in range(size) if not covered[i]), -1)
-        if y < 0:
-            return True
-        for a in sorted({inverse[i][y] for i in range(r)}):
-            images = [perms[i][a] for i in range(r)]
-            if len(set(images)) != r or any(covered[p] for p in images):
-                continue
-            for p in images:
-                covered[p] = True
-            chosen.append(a)
-            if dfs():
-                return True
-            chosen.pop()
-            for p in images:
-                covered[p] = False
-        return False
-
-    if not dfs():
+    images = [[perm[a] for perm in perms] for a in range(size)]
+    members = exact_cover(size, images, DEFAULT_NODE_BUDGET)
+    if members is None:
         return None
-    members = sorted(chosen)
     return [report.points[a] for a in members]

@@ -4,7 +4,8 @@ Every subcommand emits canonical JSON (sorted keys, rationals as "p/q"
 strings, angles in turns) with the tool version, a config echo and any seeds,
 so identical invocations are byte-identical.  Exit codes: 0 for a completed
 run (negative mathematical verdicts included), 2 for input errors, 3 for an
-exhausted resource budget.
+exhausted resource budget, 4 for a failed internal check (a verifier or gate
+that should never fail, such as the witness residual or the Euler gate).
 """
 
 from __future__ import annotations
@@ -134,9 +135,6 @@ def cmd_tile(args) -> dict:
 def cmd_orbit(args) -> dict:
     rotations = _load_tuple(args.tuple)
     start = _parse_point(args.point, rotations.mode == "floating")
-    if len(start) != rotations.dimension:
-        raise ValueError(f"--point has {len(start)} coordinates, the tuple has "
-                         f"dimension {rotations.dimension}")
     report = orbit(start, rotations, cap=args.cap)
     if rotations.mode == "exact":
         points = [[format_fraction(c) for c in p] for p in report.points]
@@ -355,6 +353,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError, ZeroDivisionError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
+    except ArithmeticError as exc:
+        sys.stderr.write(f"internal check failed: {exc}\n")
+        return 4
     _emit(report, args)
     return 0
 

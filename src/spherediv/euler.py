@@ -21,6 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
+from .actions import act, dedup_index, native
 from .scalars import sign_scalar, scalar_to_float
 
 FLOAT_SUPPORT_TOL = 1e-9
@@ -48,36 +49,22 @@ def _signed_basis(d: int):
 def orbit_polytope(group_elements, d: int, mode: str = "exact") -> OrbitPolytope:
     """Images of the signed standard basis under the group, deduplicated, with
     the group-invariance of the vertex set verified."""
-    seeds = _signed_basis(d)
-    if mode == "floating":
-        from .actions import _FloatIndex
-
-        index = _FloatIndex()
-        verts: list = []
-        mats = [np.array(g, dtype=float) for g in group_elements]
-        for g in mats:
-            for v in seeds:
-                w = g @ np.array([float(c) for c in v])
-                if index.find(w) is None:
-                    index.add(w)
-                    verts.append(tuple(w.tolist()))
-        for g in mats:
-            for v in verts:
-                if index.find(g @ np.array(v)) is None:
-                    raise ArithmeticError("vertex set is not group-invariant")
-        return OrbitPolytope(d, verts, len(group_elements), mode)
-    vert_set = set()
-    verts = []
-    for g in group_elements:
+    mats = native(group_elements, mode)
+    seeds = native(_signed_basis(d), mode)
+    index = dedup_index(mode)
+    verts: list = []
+    for g in mats:
         for v in seeds:
-            w = tuple(linalg.mat_vec(g, list(v)))
-            if w not in vert_set:
-                vert_set.add(w)
+            w = act(g, v)
+            if index.find(w) is None:
+                index.add(w)
                 verts.append(w)
-    for g in group_elements:
+    for g in mats:
         for v in verts:
-            if tuple(linalg.mat_vec(g, list(v))) not in vert_set:
+            if index.find(act(g, v)) is None:
                 raise ArithmeticError("vertex set is not group-invariant")
+    if mode == "floating":
+        verts = [tuple(w.tolist()) for w in verts]
     return OrbitPolytope(d, verts, len(group_elements), mode)
 
 

@@ -154,9 +154,3 @@ def weighted_inner_product(d: int, p: RationalPolynomial, q: RationalPolynomial)
                 continue
             total += a * b * normalized_moment(d, i + j)
     return total
-
-
-def sphere_surface_area(d: int) -> float:
-    """Total spherical measure of S^{d-1}: 2 pi^{d/2} / Gamma(d/2).  Float only;
-    exact decisions in this package are always taken on normalized quantities."""
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)

@@ -36,17 +36,6 @@ def default_n_max(d: int) -> int:
     return 3
 
 
-def g_function(d: int, n: int, rotations: RotationTuple, v, x):
-    """sum_i P_n((g_i^{-1} v) . x), the pairing kernel of the certificate."""
-    poly = gegenbauer(d, n)
-    total = None
-    for i in range(rotations.r):
-        gv = linalg.mat_vec(rotations.inverse_matrix(i), list(v))
-        term = evaluate(poly, dot(gv, list(x)))
-        total = term if total is None else total + term
-    return total
-
-
 def l_matrix(d: int, n: int, rotations: RotationTuple, basis: ZonalBasis):
     """Entry (i, j) = (1/N_n) sum_s P_n(v_i . (g_s v_j)).
 

@@ -5,6 +5,9 @@ k_1 + A, ..., k_r + A a partition of Z_N ("k-divisibility").  The solver is a
 complete canonical backtracking search: always branch on the smallest
 uncovered residue, trying its candidate preimages in increasing order, so the
 answer is deterministic and the first solution found is the canonical one.
+The search is a general exact-cover engine over a table of rows
+(``exact_cover``); ``actions.divide_finite_orbit`` runs it on the orbits of
+finite group actions, of which Z_N under translation is the regular case.
 
 For the four-shift family (k, k+m, m, 0) mod 4m with gcd(k, m) = 1 the module
 also carries the closed-form decision (m even: always tileable; m odd:
@@ -54,51 +57,51 @@ def is_tiling(modulus: int, shifts, members) -> bool:
 
 
 class _TilingSearch:
-    """Backtracking with unit propagation over the cyclic action structure.
+    """Exact cover by backtracking with unit propagation over a row table.
 
-    A residue a is a usable "row" iff none of its images a + k_i is covered;
-    blocked[a] counts covered images, cand[y] counts usable rows covering y.
-    Covering is O(r^3) incremental updates.  Branching always happens on the
-    smallest uncovered residue with candidates in increasing order, so the
-    first solution found is canonical; forced moves (cand = 1) are committed
-    without branching, which leaves the solution order unchanged and detects
-    the long forced chains of these instances without search.
+    Row a covers the r cells ``images[a]``; ``rows[y]`` lists the rows covering
+    cell y in increasing order.  A row is usable iff none of its cells is
+    covered; blocked[a] counts covered cells (plus one, for good, for a row
+    that names a cell twice), cand[y] counts usable rows covering y.
+    Branching always happens on the smallest uncovered cell with candidates
+    in increasing order, so the first solution found is canonical; forced
+    moves (cand = 1) are committed without branching, which leaves the
+    solution order unchanged and detects long forced chains without search.
     """
 
-    def __init__(self, n: int, shifts: tuple[int, ...], node_budget: int):
+    def __init__(self, n: int, images: list[list[int]], node_budget: int):
         self.n = n
-        self.shifts = shifts
-        self.r = len(shifts)
+        self.images = images
+        self.rows: list[list[int]] = [[] for _ in range(n)]
+        for a, cells in enumerate(images):
+            for y in cells:
+                self.rows[y].append(a)
         self.node_budget = node_budget
         self.nodes = 0
         self.covered = [False] * n
-        self.blocked = [0] * n
-        self.cand = [self.r] * n  # rows y - k_i are distinct while shifts are
+        self.blocked = [int(len(set(cells)) != len(cells)) for cells in images]
+        self.cand = [sum(1 for a in self.rows[y] if not self.blocked[a])
+                     for y in range(n)]
         self.chosen: list[int] = []
         self.dead = False
         self.forced: list[int] = []
 
-    def rows_of(self, y: int) -> list[int]:
-        return [(y - k) % self.n for k in self.shifts]
-
-    def images_of(self, a: int) -> list[int]:
-        return [(a + k) % self.n for k in self.shifts]
-
     def unique_row(self, y: int) -> int:
-        for a in self.rows_of(y):
+        for a in self.rows[y]:
             if self.blocked[a] == 0:
                 return a
         raise AssertionError("no usable row despite positive candidate count")
 
     def commit(self, a: int) -> None:
         self.chosen.append(a)
-        for p in self.images_of(a):
+        cells = self.images[a]
+        for p in cells:
             self.covered[p] = True
-        for p in self.images_of(a):
-            for b in self.rows_of(p):
+        for p in cells:
+            for b in self.rows[p]:
                 self.blocked[b] += 1
                 if self.blocked[b] == 1:
-                    for y in self.images_of(b):
+                    for y in self.images[b]:
                         self.cand[y] -= 1
                         if not self.covered[y]:
                             if self.cand[y] == 0:
@@ -107,13 +110,14 @@ class _TilingSearch:
                                 self.forced.append(y)
 
     def retract(self, a: int) -> None:
-        for p in reversed(self.images_of(a)):
-            for b in self.rows_of(p):
+        cells = self.images[a]
+        for p in reversed(cells):
+            for b in self.rows[p]:
                 if self.blocked[b] == 1:
-                    for y in self.images_of(b):
+                    for y in self.images[b]:
                         self.cand[y] += 1
                 self.blocked[b] -= 1
-        for p in self.images_of(a):
+        for p in cells:
             self.covered[p] = False
         self.chosen.pop()
         self.dead = False
@@ -141,7 +145,7 @@ class _TilingSearch:
             y = self.first_uncovered()
             if y < 0:
                 return True
-            for a in sorted(b for b in self.rows_of(y) if self.blocked[b] == 0):
+            for a in [b for b in self.rows[y] if self.blocked[b] == 0]:
                 self.nodes += 1
                 if self.nodes > self.node_budget:
                     raise BudgetExceeded(
@@ -157,11 +161,25 @@ class _TilingSearch:
         return False
 
 
+def exact_cover(n: int, images: list[list[int]], node_budget: int) -> list[int] | None:
+    """Rows whose cells partition {0, ..., n-1}, sorted, or None if none do.
+
+    Row a covers the r cells ``images[a]``.  The search is canonical (see
+    ``_TilingSearch``) and raises BudgetExceeded, never a wrong answer, once
+    it would branch on more than node_budget nodes.
+    """
+    engine = _TilingSearch(n, images, node_budget)
+    if engine.search():
+        return sorted(engine.chosen)
+    return None
+
+
 def solve(instance: TileInstance,
           node_budget: int = DEFAULT_NODE_BUDGET) -> TileSolution | None:
     """Complete search for a tiling; None is a proof that none exists.
 
-    Raises BudgetExceeded (never a wrong answer) if the node budget runs out.
+    A tiling is an exact cover of Z_N by the rows a -> {a + k_i}.  Raises
+    BudgetExceeded (never a wrong answer) if the node budget runs out.
     Duplicate shifts make two translates of any nonempty set overlap, so such
     instances are immediately unsolvable, as are those with r not dividing N.
     """
@@ -172,10 +190,9 @@ def solve(instance: TileInstance,
         return None
     if len(set(shifts)) != r:
         return None
-    engine = _TilingSearch(n, shifts, node_budget)
-    if engine.search():
-        return TileSolution(n, shifts, tuple(sorted(engine.chosen)))
-    return None
+    members = exact_cover(n, [[(a + k) % n for k in shifts] for a in range(n)],
+                          node_budget)
+    return None if members is None else TileSolution(n, shifts, tuple(members))
 
 
 def normalize_r4(modulus: int, shifts) -> tuple[int, int] | None:

@@ -7,8 +7,10 @@ questions from the rank of the stacked matrix, determinants from Bareiss
 elimination on the scalar objects themselves, certificate matrices from
 entry-by-entry Gegenbauer evaluation, zonal bases from Schur complements
 against an explicitly tracked inverse Gram matrix, rational sphere points from
-a sorted pool of Fraction stereographic images, and witness residuals from a
-loop over samples, rotations and basis points.
+a sorted pool of Fraction stereographic images, witness residuals from a
+loop over samples, rotations and basis points, orbit divisions from a plain
+recursive DFS over scanned permutations, and Z_N tilings from a search that
+recomputes every row and image modulo N.
 """
 
 from __future__ import annotations
@@ -214,3 +216,158 @@ def witness_residual_by_sample(rotations, witness, samples: int, seed: int) -> f
         total = sum(witness_value_by_point(witness, m @ x) for m in inv_mats)
         worst = max(worst, abs(total - 1.0))
     return worst
+
+
+def _orbit_permutations_by_scan(report, rotations):
+    """For each generator, j -> the index of g . p_j among the orbit points,
+    found by a scan: exact equality, or the nearest point in floating mode."""
+    if rotations.mode == "floating":
+        pts = np.array(report.points, dtype=float)
+        perms = []
+        for m in rotations.matrices:
+            images = pts @ np.array(m, dtype=float).T
+            dist = np.max(np.abs(images[:, None, :] - pts[None, :, :]), axis=2)
+            if np.any(np.min(dist, axis=1) > 1e-6):
+                raise ArithmeticError("orbit is not closed under a generator")
+            perms.append([int(j) for j in np.argmin(dist, axis=1)])
+        return perms
+    return [[report.points.index(tuple(mat_vec(m, list(p)))) for p in report.points]
+            for m in rotations.matrices]
+
+
+def divide_orbit_by_dfs(report, rotations):
+    """Subset of a finite orbit whose generator translates partition it, or
+    None, by plain recursive DFS: cover the smallest-index uncovered point,
+    candidates in increasing order, rows with a repeated image skipped."""
+    perms = _orbit_permutations_by_scan(report, rotations)
+    size = report.size
+    r = len(perms)
+    if r == 0 or size % r != 0:
+        return None
+    inverse = [[0] * size for _ in range(r)]
+    for i, perm in enumerate(perms):
+        for j, img in enumerate(perm):
+            inverse[i][img] = j
+    covered = [False] * size
+    chosen: list[int] = []
+
+    def dfs() -> bool:
+        y = next((i for i in range(size) if not covered[i]), -1)
+        if y < 0:
+            return True
+        for a in sorted({inverse[i][y] for i in range(r)}):
+            images = [perms[i][a] for i in range(r)]
+            if len(set(images)) != r or any(covered[p] for p in images):
+                continue
+            for p in images:
+                covered[p] = True
+            chosen.append(a)
+            if dfs():
+                return True
+            chosen.pop()
+            for p in images:
+                covered[p] = False
+        return False
+
+    if not dfs():
+        return None
+    return [report.points[a] for a in sorted(chosen)]
+
+
+class _ModularSearch:
+    """Z_N tiling search that computes rows (y - k_i) and images (a + k_i)
+    modulo N on every use, with the same propagation and branching order as
+    the table-driven engine."""
+
+    def __init__(self, n: int, shifts: tuple, node_budget: int):
+        self.n = n
+        self.shifts = shifts
+        self.r = len(shifts)
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.covered = [False] * n
+        self.blocked = [0] * n
+        self.cand = [self.r] * n
+        self.chosen: list[int] = []
+        self.dead = False
+        self.forced: list[int] = []
+
+    def rows_of(self, y: int) -> list[int]:
+        return [(y - k) % self.n for k in self.shifts]
+
+    def images_of(self, a: int) -> list[int]:
+        return [(a + k) % self.n for k in self.shifts]
+
+    def unique_row(self, y: int) -> int:
+        return next(a for a in self.rows_of(y) if self.blocked[a] == 0)
+
+    def commit(self, a: int) -> None:
+        self.chosen.append(a)
+        for p in self.images_of(a):
+            self.covered[p] = True
+        for p in self.images_of(a):
+            for b in self.rows_of(p):
+                self.blocked[b] += 1
+                if self.blocked[b] == 1:
+                    for y in self.images_of(b):
+                        self.cand[y] -= 1
+                        if not self.covered[y]:
+                            if self.cand[y] == 0:
+                                self.dead = True
+                            elif self.cand[y] == 1:
+                                self.forced.append(y)
+
+    def retract(self, a: int) -> None:
+        for p in reversed(self.images_of(a)):
+            for b in self.rows_of(p):
+                if self.blocked[b] == 1:
+                    for y in self.images_of(b):
+                        self.cand[y] += 1
+                self.blocked[b] -= 1
+        for p in self.images_of(a):
+            self.covered[p] = False
+        self.chosen.pop()
+        self.dead = False
+
+    def propagate(self) -> list[int]:
+        committed = []
+        while not self.dead and self.forced:
+            y = self.forced.pop()
+            if self.covered[y] or self.cand[y] != 1:
+                continue
+            a = self.unique_row(y)
+            self.commit(a)
+            committed.append(a)
+        return committed
+
+    def search(self) -> bool:
+        committed = self.propagate()
+        if not self.dead:
+            y = next((i for i in range(self.n) if not self.covered[i]), -1)
+            if y < 0:
+                return True
+            for a in sorted(b for b in self.rows_of(y) if self.blocked[b] == 0):
+                self.nodes += 1
+                if self.nodes > self.node_budget:
+                    raise BudgetExceeded(f"tiling search exceeded {self.node_budget} nodes")
+                self.commit(a)
+                if self.search():
+                    return True
+                self.forced = []
+                self.retract(a)
+        for a in reversed(committed):
+            self.retract(a)
+        self.forced = []
+        return False
+
+
+def tiling_search_by_modulus(modulus: int, shifts, node_budget: int):
+    """(members or None, search nodes) for tiling Z_modulus by the shifts,
+    with the modular search; raises BudgetExceeded past the budget."""
+    shifts = tuple(k % modulus for k in shifts)
+    r = len(shifts)
+    if r == 0 or modulus % r != 0 or len(set(shifts)) != r:
+        return None, 0
+    engine = _ModularSearch(modulus, shifts, node_budget)
+    found = engine.search()
+    return (tuple(sorted(engine.chosen)) if found else None), engine.nodes

@@ -1,6 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from spherediv.actions import (GroupWord, common_fixed_point_test,
                                divide_finite_orbit, enumerate_group,
@@ -11,7 +15,8 @@ from spherediv.linalg import identity_matrix, mat_vec
 from spherediv.points import (cayley_rotation, exact_tuple, floating_tuple,
                               random_skew_matrix, z_axis_rotation_tuple)
 from spherediv.scalars import is_zero_scalar
-from oracles import stacked_kernel_intersection
+from spherediv.tiling import exact_cover
+from oracles import divide_orbit_by_dfs, stacked_kernel_intersection
 
 F = Fraction
 
@@ -20,6 +25,23 @@ def signed_permutation_tuple():
     rz = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
     rx = [[F(1), F(0), F(0)], [F(0), F(0), F(-1)], [F(0), F(1), F(0)]]
     return exact_tuple([rz, rx])
+
+
+def signed_rotations(d):
+    """All signed permutation matrices of determinant +1."""
+    out = []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            m = [[F(0)] * d for _ in range(d)]
+            for i, j in enumerate(perm):
+                m[i][j] = F(signs[i])
+            if round(np.linalg.det(np.array(m, dtype=float))) == 1:
+                out.append(m)
+    return out
+
+
+def as_floating(t):
+    return floating_tuple([[[float(x) for x in row] for row in m] for m in t.matrices])
 
 
 def minus_identity(m):
@@ -167,11 +189,44 @@ def test_enumerate_group_half_turn():
     assert g.complete and g.order == 2
 
 
+def test_floating_cube_group_matches_exact():
+    t = signed_permutation_tuple()
+    exact = enumerate_group(t, cap=100)
+    floating = enumerate_group(as_floating(t), cap=100)
+    assert floating.complete and floating.order == exact.order == 24
+    for a, b in zip(exact.elements, floating.elements):  # same BFS order
+        assert np.array(b).tolist() == np.array(a, dtype=float).tolist()
+
+
+def test_floating_4d_signed_permutation_group():
+    # a quarter turn in the (1, 2) plane and a signed 4-cycle generate all 192
+    # signed permutation matrices of determinant +1; lookups in the float index
+    # must not grow with the 16 entries of a 4 x 4 matrix
+    q = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+         [0.0, 0.0, 0.0, 1.0]]
+    c = [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+         [1.0, 0.0, 0.0, 0.0]]
+    g = enumerate_group(floating_tuple([q, c]), cap=400)
+    assert g.complete and g.order == 192 == len(signed_rotations(4))
+    assert len({tuple(np.ravel(m)) for m in g.elements}) == 192
+
+
 def test_enumerate_group_cap_exceeded():
     rng = random.Random(8)
     t = exact_tuple([cayley_rotation(random_skew_matrix(rng, 3)) for _ in range(2)])
     g = enumerate_group(t, cap=50)
     assert not g.complete and g.order is None
+
+
+def test_orbit_rejects_a_start_point_of_the_wrong_length():
+    t = z_axis_rotation_tuple([F(1, 4), F(0)], d=3)
+    with pytest.raises(ValueError, match="2 coordinates"):
+        orbit((F(1), F(0)), t)
+    with pytest.raises(ValueError, match="dimension 3"):
+        orbit((1.0, 0.0, 0.0, 0.0), as_floating(t))
+    for start in ((math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0), (1e308, 1e308, 0.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            orbit(start, as_floating(t))
 
 
 def test_invariant_split_planar_orbit():
@@ -264,6 +319,39 @@ def test_divide_finite_orbit_hexagon():
         for m in t.matrices:
             seen.append(tuple(mat_vec(m, list(a))))
     assert sorted(seen) == sorted(rep.points)
+
+
+def test_divide_finite_orbit_matches_the_dfs_oracle():
+    rng = random.Random(4)
+    outcomes = set()
+    for d in (2, 3, 4):
+        rotations = signed_rotations(d)
+        starts = [tuple(F(int(i == 0)) for i in range(d)),
+                  tuple([F(3, 5), F(4, 5)] + [F(0)] * (d - 2))]
+        for _ in range(8):
+            t = exact_tuple([rng.choice(rotations) for _ in range(rng.choice((2, 3, 4)))])
+            for mode_tuple in (t, as_floating(t)):
+                for start in starts:
+                    rep = orbit(start, mode_tuple, cap=500)
+                    assert rep.finite
+                    got = divide_finite_orbit(rep, mode_tuple)
+                    assert got == divide_orbit_by_dfs(rep, mode_tuple), (d, start)
+                    outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_divide_never_chooses_a_row_with_a_repeated_point():
+    # half turns about the z and y axes both send e1 to -e1 (and -e1 to e1),
+    # so every candidate subset has overlapping translates
+    rz = [[F(-1), F(0), F(0)], [F(0), F(-1), F(0)], [F(0), F(0), F(1)]]
+    ry = [[F(-1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(-1)]]
+    t = exact_tuple([rz, ry])
+    rep = orbit((F(1), F(0), F(0)), t, cap=10)
+    assert rep.size == 2
+    assert divide_finite_orbit(rep, t) is None
+    assert divide_orbit_by_dfs(rep, t) is None
+    # cell 0 is covered first by the repeated row 0 unless it starts blocked
+    assert exact_cover(4, [[0, 0], [1, 1], [0, 1], [2, 3]], 100) == [2, 3]
 
 
 def test_reduced_words_counts():

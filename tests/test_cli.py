@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+from spherediv import cli, linalg
 from spherediv.cli import main
 from spherediv.points import exact_tuple, identity_tuple, z_axis_rotation_tuple
 from spherediv.serialize import tuple_to_json
@@ -236,3 +237,30 @@ def test_tuple_file_must_hold_an_object(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert main(["obstruct", "--tuple", str(path)]) == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+def test_failed_witness_gate_exits_4(tmp_path, capsys, monkeypatch):
+    path = write_tuple(tmp_path, z_axis_rotation_tuple(
+        [F(1, 4), F(1, 2), F(3, 4), F(0)]))
+    real = linalg.kernel_vector
+
+    def wrong(m):
+        v = real(m)
+        return [c + 1 for c in v]
+
+    monkeypatch.setattr(linalg, "kernel_vector", wrong)
+    assert main(["obstruct", "--tuple", path, "--nmax", "2", "--witness", "1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failed: witness residual")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_failed_euler_gate_exits_4(tmp_path, capsys, monkeypatch):
+    rz = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    path = write_tuple(tmp_path, exact_tuple([rz]))
+    monkeypatch.setattr(cli, "euler_check", lambda lattice: False)
+    assert main(["euler-check", "--generators", path, "--r", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: Euler gate failed: alternating sum 2 != 2\n"

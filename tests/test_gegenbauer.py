@@ -4,8 +4,7 @@ import pytest
 
 from spherediv.gegenbauer import (RationalPolynomial, T_POLYNOMIAL, evaluate,
                                   gegenbauer, harmonic_dimension,
-                                  normalized_moment, sphere_surface_area,
-                                  weighted_inner_product)
+                                  normalized_moment, weighted_inner_product)
 from oracles import gram_schmidt_gegenbauer
 
 
@@ -114,13 +113,6 @@ def test_evaluate_is_horner_exact():
     t = Fraction(-3, 7)
     direct = sum(c * t ** k for k, c in enumerate(p.coefficients))
     assert evaluate(p, t) == direct
-
-
-def test_surface_area_floats():
-    import math
-
-    assert sphere_surface_area(2) == pytest.approx(2 * math.pi)
-    assert sphere_surface_area(3) == pytest.approx(4 * math.pi)
 
 
 def test_json_round_trip():

@@ -11,8 +11,7 @@ from spherediv import linalg
 from spherediv.linalg import det
 from spherediv.obstruction import (WITNESS_RESIDUAL_TOL, WITNESS_SAMPLE_COUNT,
                                    _validate_witness, certify_degrees,
-                                   default_n_max, extract_witness, g_function,
-                                   l_matrix)
+                                   default_n_max, extract_witness, l_matrix)
 from spherediv.points import (cayley_rotation, circle_rotation_tuple,
                               exact_tuple, floating_tuple, identity_tuple,
                               random_skew_matrix, z_axis_rotation_tuple)
@@ -20,28 +19,6 @@ from spherediv.scalars import is_zero_scalar, scalar_to_float
 from spherediv.zonal import build_zonal_basis
 from oracles import (l_matrix_by_evaluate, witness_residual_by_sample,
                      witness_value_by_point)
-
-
-def test_g_function_identities():
-    t = identity_tuple(3, 4)
-    v = (Fraction(3, 5), Fraction(4, 5), Fraction(0))
-    x = (Fraction(0), Fraction(0), Fraction(1))
-    for n in range(4):
-        dot_vx = sum(a * b for a, b in zip(v, x))
-        assert g_function(3, n, t, v, x) == 4 * evaluate(gegenbauer(3, n), dot_vx)
-
-
-def test_g_function_degree_zero_is_r():
-    t = identity_tuple(2, 3)
-    v = (Fraction(1), Fraction(0))
-    assert g_function(2, 0, t, v, v) == 3
-
-
-def test_g_function_half_turn_cancellation():
-    t = circle_rotation_tuple([Fraction(1, 2), Fraction(0)])
-    v = (Fraction(1), Fraction(0))
-    val = g_function(2, 1, t, v, v)
-    assert val.is_zero()
 
 
 def test_l_matrix_identity_law():

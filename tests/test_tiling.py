@@ -1,11 +1,53 @@
 import math
+import random
 
 import pytest
 
+from spherediv import tiling
 from spherediv.errors import BudgetExceeded
 from spherediv.tiling import (TileInstance, TileSolution, closed_form_r4,
                               even_m_construction, is_tiling, normalize_r4,
                               odd_m_construction, solve)
+from oracles import tiling_search_by_modulus
+
+ORACLE_BUDGET = 300
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Every search engine created while the test runs."""
+    made = []
+    init = tiling._TilingSearch.__init__
+
+    def record(engine, *args):
+        init(engine, *args)
+        made.append(engine)
+
+    monkeypatch.setattr(tiling._TilingSearch, "__init__", record)
+    return made
+
+
+def outcome_and_nodes(engines, modulus, shifts, budget):
+    engines.clear()
+    try:
+        found = solve(TileInstance(modulus, shifts), node_budget=budget)
+        outcome = None if found is None else found.members
+    except BudgetExceeded:
+        outcome = "budget"
+    return outcome, sum(e.nodes for e in engines)
+
+
+def oracle_outcome_and_nodes(modulus, shifts, budget):
+    try:
+        return tiling_search_by_modulus(modulus, shifts, budget)
+    except BudgetExceeded:
+        return "budget", budget + 1
+
+
+def assert_matches_oracle(engines, modulus, shifts, budget):
+    got = outcome_and_nodes(engines, modulus, shifts, budget)
+    assert got == oracle_outcome_and_nodes(modulus, shifts, budget), (modulus, shifts)
+    return got[0]
 
 
 def test_spot_solutions():
@@ -114,3 +156,27 @@ def test_solution_dataclass_shape():
     s = TileSolution(4, (2, 3, 1, 0), (0,))
     assert s.is_valid()
     assert not TileSolution(4, (2, 3, 1, 0), (0, 1)).is_valid()
+
+
+def test_four_shift_family_matches_the_modular_search(engines):
+    outcomes = set()
+    for m in range(1, 26):
+        for k in range(4 * m):
+            found = assert_matches_oracle(engines, 4 * m, (k, k + m, m, 0), ORACLE_BUDGET)
+            outcomes.add(found if found in (None, "budget") else "tiling")
+    assert outcomes == {None, "budget", "tiling"}
+
+
+def test_random_shift_sets_match_the_modular_search(engines):
+    rng = random.Random(2026)
+    for _ in range(300):
+        r = rng.randint(1, 5)
+        modulus = r * rng.randint(1, 12)
+        shifts = tuple(rng.randrange(modulus) for _ in range(r))
+        assert_matches_oracle(engines, modulus, shifts, ORACLE_BUDGET)
+
+
+def test_budget_stop_searches_exactly_one_node_past_the_budget(engines):
+    assert outcome_and_nodes(engines, 100, (1, 26, 25, 0), 40) == ("budget", 41)
+    with pytest.raises(BudgetExceeded):
+        tiling_search_by_modulus(100, (1, 26, 25, 0), 40)
