@@ -57,8 +57,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_tuple(path: str):
+ALL_MODES = ("exact", "quad", "floating", "circle")
+
+
+def _load_tuple(path: str, modes=ALL_MODES):
+    """The validated tuple in the file; a mode outside ``modes`` (those the
+    command decides) is an input error."""
     t = tuple_from_json(_load_json(path))
+    if t.mode not in modes:
+        raise ValueError(f"{t.mode} tuples are not accepted here; accepted modes: "
+                         f"{', '.join(modes)}")
     report = validate_tuple(t)
     if not report.ok:
         raise ValueError("invalid rotation tuple: " + "; ".join(report.issues))
@@ -151,7 +159,8 @@ def _to_float(c):
 
 
 def cmd_fixed_point_test(args) -> dict:
-    rotations = _load_tuple(args.tuple)
+    # a circle tuple would need a determinant over roots of unity
+    rotations = _load_tuple(args.tuple, ("exact", "quad", "floating"))
     words = [parse_word(w) for w in args.words.split(",")]
     floating = rotations.mode == "floating"
     mats = []
@@ -171,12 +180,11 @@ def cmd_fixed_point_test(args) -> dict:
 
 
 def cmd_euler_check(args) -> dict:
-    rotations = _load_tuple(args.generators)
+    rotations = _load_tuple(args.generators, ("exact", "quad"))
     closure = enumerate_group(rotations, cap=args.cap)
     if not closure.complete:
         raise BudgetExceeded(f"group closure exceeded the cap {args.cap}")
-    polytope = orbit_polytope(closure.elements, rotations.dimension,
-                              mode="floating" if rotations.mode == "floating" else "exact")
+    polytope = orbit_polytope(closure.elements, rotations.dimension)
     lattice = face_lattice(polytope)
     chi = lattice.euler_sum
     if rotations.dimension % 2 and not euler_check(lattice):

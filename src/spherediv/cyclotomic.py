@@ -6,8 +6,8 @@ reduces to the canonical tensor basis of Q(zeta_N): exponents are split by CRT
 across the prime-power factors of N, and within each factor p^a the relation
 1 + zeta^{p^{a-1}} + ... + zeta^{(p-1)p^{a-1}} = 0 rewrites the top block.
 This yields an exact, tolerance-free decision for vanishing sums of unit
-vectors at rational angles, and exact 2x2 linear algebra over circle-rotation
-matrices.
+vectors at rational angles: the circle classifier's cancellation test and the
+closed-form circle certificates of ``obstruction.circle_det`` both rest on it.
 """
 
 from __future__ import annotations
@@ -175,7 +175,12 @@ class CycloNum:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.order, self.canonical()))
+        # equal numbers hash equal: a rational value (empty canonical form, or
+        # only the all-zero exponent) hashes like the equal Fraction
+        canon = self.canonical()
+        if len(canon) == 1 and not any(canon[0][0]):
+            return hash(canon[0][1])
+        return hash((self.order, canon)) if canon else hash(0)
 
     def __complex__(self):
         tau = 2.0 * cmath.pi / self.order

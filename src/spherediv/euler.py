@@ -10,6 +10,8 @@ generating the group.
 
 Facets are found by brute force over d-subsets of the vertex set with exact
 one-sided support tests; lower faces are intersections of facet vertex sets.
+Groups must be exact (Fraction or Q(sqrt(D)) entries): a face count read off
+floating support tests would be a verdict resting on rounding.
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .actions import act, dedup_index, native
+from .actions import act, dedup_index
 from .scalars import sign_scalar, scalar_to_float
 
-FLOAT_SUPPORT_TOL = 1e-9
 MAX_VERTICES = 120
 
 
@@ -33,7 +34,6 @@ class OrbitPolytope:
     dimension: int
     vertices: list
     group_order: int
-    mode: str  # "exact" (Fraction/QuadExt entries) or "floating"
 
 
 def _signed_basis(d: int):
@@ -46,12 +46,13 @@ def _signed_basis(d: int):
     return out
 
 
-def orbit_polytope(group_elements, d: int, mode: str = "exact") -> OrbitPolytope:
-    """Images of the signed standard basis under the group, deduplicated, with
-    the group-invariance of the vertex set verified."""
-    mats = native(group_elements, mode)
-    seeds = native(_signed_basis(d), mode)
-    index = dedup_index(mode)
+def orbit_polytope(group_elements, d: int) -> OrbitPolytope:
+    """Images of the signed standard basis under an exact (Fraction or
+    QuadExt) group, deduplicated, with the group-invariance of the vertex set
+    verified."""
+    mats = list(group_elements)
+    seeds = _signed_basis(d)
+    index = dedup_index("exact")
     verts: list = []
     for g in mats:
         for v in seeds:
@@ -63,9 +64,7 @@ def orbit_polytope(group_elements, d: int, mode: str = "exact") -> OrbitPolytope
         for v in verts:
             if index.find(act(g, v)) is None:
                 raise ArithmeticError("vertex set is not group-invariant")
-    if mode == "floating":
-        verts = [tuple(w.tolist()) for w in verts]
-    return OrbitPolytope(d, verts, len(group_elements), mode)
+    return OrbitPolytope(d, verts, len(group_elements))
 
 
 @dataclass
@@ -86,15 +85,6 @@ def _affine_rank_exact(verts, subset) -> int:
     if not rows:
         return 0
     return linalg.rank(rows)
-
-
-def _affine_rank_float(verts, subset) -> int:
-    pts = np.array([verts[i] for i in subset], dtype=float)
-    if len(pts) == 1:
-        return 0
-    diffs = pts[1:] - pts[0]
-    sing = np.linalg.svd(diffs, compute_uv=False)
-    return int(np.sum(sing > 1e-9))
 
 
 def _facets_exact(verts, d: int) -> set[frozenset[int]]:
@@ -127,25 +117,6 @@ def _facets_exact(verts, d: int) -> set[frozenset[int]]:
     return facets
 
 
-def _facets_float(verts, d: int) -> set[frozenset[int]]:
-    arr = np.array(verts, dtype=float)
-    nv = len(arr)
-    facets: set[frozenset[int]] = set()
-    for combo in combinations(range(nv), d):
-        diffs = arr[list(combo[1:])] - arr[combo[0]]
-        u, sing, vt = np.linalg.svd(diffs)
-        if np.sum(sing > 1e-9) != d - 1:
-            continue
-        normal = vt[-1]
-        offset = float(normal @ arr[combo[0]])
-        vals = arr @ normal - offset
-        if np.any(vals > FLOAT_SUPPORT_TOL) and np.any(vals < -FLOAT_SUPPORT_TOL):
-            continue
-        on_plane = frozenset(int(i) for i in np.nonzero(np.abs(vals) <= FLOAT_SUPPORT_TOL)[0])
-        facets.add(on_plane)
-    return facets
-
-
 def face_lattice(polytope: OrbitPolytope) -> FaceLattice:
     """All proper faces as vertex subsets, counted per affine dimension.
 
@@ -154,20 +125,15 @@ def face_lattice(polytope: OrbitPolytope) -> FaceLattice:
     the facet family under pairwise intersection.
     """
     verts, d = polytope.vertices, polytope.dimension
+    if d < 2:
+        raise ValueError(f"face lattices need dimension >= 2, got {d}")
     if len(verts) > MAX_VERTICES:
         raise ValueError(f"vertex count {len(verts)} exceeds the desk-scale cap "
                          f"{MAX_VERTICES}")
-    exact = polytope.mode != "floating"
-    if exact:
-        if _affine_rank_exact(verts, list(range(len(verts)))) != d:
-            raise ValueError("vertex set does not span the ambient space")
-        facets = _facets_exact(verts, d)
-        rank_of = lambda s: _affine_rank_exact(verts, sorted(s))
-    else:
-        if _affine_rank_float(verts, list(range(len(verts)))) != d:
-            raise ValueError("vertex set does not span the ambient space")
-        facets = _facets_float(verts, d)
-        rank_of = lambda s: _affine_rank_float(verts, sorted(s))
+    if _affine_rank_exact(verts, list(range(len(verts)))) != d:
+        raise ValueError("vertex set does not span the ambient space")
+    facets = _facets_exact(verts, d)
+    rank_of = lambda s: _affine_rank_exact(verts, sorted(s))
     faces: set[frozenset[int]] = set(facets)
     frontier = set(facets)
     while frontier:

@@ -93,8 +93,15 @@ def descriptor_from_json(data: dict) -> DivisionDescriptor:
     if kind == "placeholder":
         return PlaceholderDivision(dimension=data["dimension"], r=data["r"])
     if kind == "lifted":
-        return LiftedDivision(lower=descriptor_from_json(data["lower"]),
-                              r=data["r"], dimension=data["dimension"])
+        lower = descriptor_from_json(data["lower"])
+        r, dim = data["r"], data["dimension"]
+        # a lift keeps the lower division's r and adds two dimensions
+        if type(r) is not int or type(dim) is not int or r != lower.r \
+                or dim - 2 != lower.dimension:
+            raise ValueError(f"lifted descriptor (dimension {dim!r}, r {r!r}) does not "
+                             f"match its lower division (dimension {lower.dimension!r}, "
+                             f"r {lower.r!r})")
+        return LiftedDivision(lower=lower, r=r, dimension=dim)
     raise ValueError(f"unknown descriptor kind {kind!r}")
 
 

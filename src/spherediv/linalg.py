@@ -1,10 +1,11 @@
-"""Exact linear algebra over Fraction / QuadExt / CycloNum entries.
+"""Exact linear algebra over Q and Q(sqrt(D)).
 
-Determinants over Q and Q(sqrt(D)) clear each row's denominators and run
-fraction-free (Bareiss) elimination on plain Python ints, or on integer pairs
-for Z[sqrt(D)]; ring-only scalars (small matrices over roots of unity) fall
-back to cofactor expansion.  Kernels, ranks and inverses go through exact
-reduced row echelon form.  Nothing here ever rounds.
+Determinants clear each row's denominators and run fraction-free (Bareiss)
+elimination on plain Python ints, or on integer pairs for Z[sqrt(D)].
+Kernels, ranks and inverses go through exact reduced row echelon form.
+Products and identities also take ``CycloNum`` entries (circle rotations),
+but nothing here takes a determinant over roots of unity.  Nothing here ever
+rounds.
 """
 
 from __future__ import annotations
@@ -170,31 +171,12 @@ def det_quadratic(m, dd: int) -> QuadExt:
     return QuadExt(Fraction(da, scale), Fraction(db, scale), dd)
 
 
-def det_cofactor(m):
-    """Division-free determinant; intended for small ring-valued matrices."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        term = m[0][j] * det_cofactor(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def det(m):
     """Exact determinant.
 
     Matrices of ints and Fractions go to ``det_rational``, matrices with
-    Q(sqrt(D)) entries to ``det_quadratic`` (the value is a QuadExt), and any
-    other ring (sums of roots of unity) to cofactor expansion.
+    Q(sqrt(D)) entries to ``det_quadratic`` (the value is a QuadExt); any
+    other entry type raises TypeError.
     """
     n = len(m)
     if n == 0:
@@ -208,7 +190,7 @@ def det(m):
                 elif x.d != dd:
                     raise ValueError(f"mixed quadratic fields: sqrt({dd}) vs sqrt({x.d})")
             elif not isinstance(x, (int, Fraction)):
-                return det_cofactor(m)
+                raise TypeError(f"no exact determinant over {type(x).__name__} entries")
     if dd is None:
         return det_rational(m)
     return det_quadratic(m, dd)

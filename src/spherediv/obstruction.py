@@ -6,11 +6,14 @@ v_1, ..., v_{N_n}.  A nonzero exact determinant certifies that every
 square-integrable f with sum_i g_i.f = 1 a.e. has vanishing degree-n harmonic
 component.  A zero determinant yields an explicit witness: a kernel vector c
 gives F = sum_j c_j P_n(v_j . x) with sum_i g_i.F = 0, so f = 1/r + F is a
-non-constant fractional division supported at degree n.
+non-constant fractional division supported at degree n.  For circle tuples
+the determinant has a closed form over roots of unity (``circle_det``) and
+is decided by the cyclotomic zero test without building L.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,7 +24,7 @@ from .cyclotomic import CycloNum
 from .gegenbauer import evaluate, gegenbauer, harmonic_dimension
 from .points import RotationTuple, validate_tuple
 from .scalars import is_zero_scalar, scalar_to_float
-from .zonal import ZonalBasis, build_zonal_basis, dot, pairing_matrix
+from .zonal import ZonalBasis, build_zonal_basis, pairing_matrix
 
 FLOAT_SINGULAR_COEFF = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-9
@@ -39,36 +42,40 @@ def default_n_max(d: int) -> int:
 def l_matrix(d: int, n: int, rotations: RotationTuple, basis: ZonalBasis):
     """Entry (i, j) = (1/N_n) sum_s P_n(v_i . (g_s v_j)).
 
-    Exact and quad tuples are evaluated on integers by ``zonal.pairing_matrix``;
-    circle tuples (entries over roots of unity) and floating tuples evaluate
-    the polynomial term by term.
+    Exact and quad tuples are evaluated on integers by ``zonal.pairing_matrix``,
+    floating tuples term by term in floats.  A circle tuple has no L matrix
+    here: its determinant has the closed form ``circle_det``.
     """
     if rotations.mode in ("exact", "quad"):
         return pairing_matrix(d, n, basis.points, rotations.matrices)
+    if rotations.mode != "floating":
+        raise ValueError(f"no L matrix for {rotations.mode} tuples")
     nn = harmonic_dimension(d, n)
     poly = gegenbauer(d, n)
-    pts = basis.points
-    k = len(pts)
-    if rotations.mode == "floating":
-        mats = [np.array(m, dtype=float) for m in rotations.matrices]
-        vecs = [np.array([float(c) for c in p]) for p in pts]
-        out = np.zeros((k, k))
-        for j in range(k):
-            images = [m @ vecs[j] for m in mats]
-            for i in range(k):
-                out[i, j] = sum(float(evaluate(poly, float(vecs[i] @ w))) for w in images)
-        return out / nn
-    scale = Fraction(1, nn)
-    rows = [[None] * k for _ in range(k)]
+    mats = [np.array(m, dtype=float) for m in rotations.matrices]
+    vecs = [np.array([float(c) for c in p]) for p in basis.points]
+    k = len(vecs)
+    out = np.zeros((k, k))
     for j in range(k):
-        images = [linalg.mat_vec(m, list(pts[j])) for m in rotations.matrices]
+        images = [m @ vecs[j] for m in mats]
         for i in range(k):
-            acc = None
-            for w in images:
-                term = evaluate(poly, dot(list(pts[i]), w))
-                acc = term if acc is None else acc + term
-            rows[i][j] = scale * acc
-    return rows
+            out[i, j] = sum(float(evaluate(poly, float(vecs[i] @ w))) for w in images)
+    return out / nn
+
+
+def circle_det(rotations: RotationTuple, n: int, basis: ZonalBasis) -> CycloNum:
+    """det L_n of a circle tuple in closed form, as a sum of N-th roots of unity.
+
+    A rotation by t turns multiplies the degree-n harmonics e^{+-in theta} by
+    e^{+-2 pi i n t}, so L_n = (1/2) Re(e^{in(phi_j - phi_i)} lambda_n) with
+    lambda_n = sum_s zeta^{n a_s}, zeta = e^{2 pi i / N}, N = 4q and
+    a_s = N t_s, and det L_n = det M_n |lambda_n|^2 for the Gram matrix M_n.
+    The value is that product expanded: sum_{s,u} det M_n zeta^{n(a_s - a_u)}.
+    It vanishes exactly when lambda_n does, and then L_n = 0 entrywise.
+    """
+    order = 4 * math.lcm(*(t.denominator for t in rotations.turns))
+    exps = [int(t * order) for t in rotations.turns]
+    return CycloNum(order, [(n * (a - b), basis.gram_det) for a in exps for b in exps])
 
 
 @dataclass
@@ -113,24 +120,25 @@ class ObstructionReport:
 def _certify_one(rotations: RotationTuple, n: int) -> DegreeCertificate:
     d = rotations.dimension
     basis = build_zonal_basis(d, n)
-    lm = l_matrix(d, n, rotations, basis)
-    if rotations.mode == "floating":
-        detf = float(np.linalg.det(lm))
-        # norm floored at 1: an all-tiny matrix is as singular as they come,
-        # and a bound proportional to norm^size would underflow below the
-        # determinant's own rounding noise
-        norm = max(1.0, float(np.max(np.abs(lm))) if lm.size else 0.0)
-        threshold = FLOAT_SINGULAR_COEFF * norm ** basis.size
-        if abs(detf) <= threshold:
-            return DegreeCertificate(n, "witness_exists", detf, detf,
+    if rotations.mode == "circle":
+        detv = circle_det(rotations, n, basis)
+    else:
+        lm = l_matrix(d, n, rotations, basis)
+        if rotations.mode == "floating":
+            detf = float(np.linalg.det(lm))
+            # norm floored at 1: an all-tiny matrix is as singular as they
+            # come, and a bound proportional to norm^size would underflow
+            # below the determinant's own rounding noise
+            norm = max(1.0, float(np.max(np.abs(lm))) if lm.size else 0.0)
+            threshold = FLOAT_SINGULAR_COEFF * norm ** basis.size
+            status = "witness_exists" if abs(detf) <= threshold else "obstructed"
+            return DegreeCertificate(n, status, detf, detf,
                                      note="inexact - rerun in exact mode")
-        return DegreeCertificate(n, "obstructed", detf, detf,
-                                 note="inexact - rerun in exact mode")
-    detv = linalg.det(lm)
+        detv = linalg.det(lm)
     zero = is_zero_scalar(detv)
     det_float = 0.0 if zero else scalar_to_float(detv)
     status = "witness_exists" if zero else "obstructed"
-    return DegreeCertificate(n, status, str(detv), det_float)
+    return DegreeCertificate(n, status, "0" if zero else str(detv), det_float)
 
 
 def certify_degrees(rotations: RotationTuple, n_max: int | None = None) -> ObstructionReport:
@@ -199,16 +207,6 @@ class FractionalWitness:
         }
 
 
-def _cyclo_kernel_2x2(lm) -> list[CycloNum]:
-    (a, b), (c, dd) = lm
-    if not (a.is_zero() and b.is_zero()):
-        return [-b, a]
-    if not (c.is_zero() and dd.is_zero()):
-        return [-dd, c]
-    one = CycloNum.from_rational(a.order, 1)
-    return [one, CycloNum(a.order)]
-
-
 def extract_witness(rotations: RotationTuple, n: int,
                     samples: int = WITNESS_SAMPLE_COUNT, seed: int = 0) -> FractionalWitness:
     """Exact kernel witness at degree n; fails when the degree is obstructed.
@@ -223,12 +221,15 @@ def extract_witness(rotations: RotationTuple, n: int,
         raise ValueError("witnesses exist only at degrees n >= 1")
     d = rotations.dimension
     basis = build_zonal_basis(d, n)
-    lm = l_matrix(d, n, rotations, basis)
     if rotations.mode == "circle":
-        if not linalg.det(lm).is_zero():
+        detv = circle_det(rotations, n, basis)
+        if not detv.is_zero():
             raise ValueError(f"degree {n} is obstructed: det L != 0, no witness exists")
-        coeffs = _cyclo_kernel_2x2(lm)
+        # L_n vanishes entrywise with det L_n, so the canonical kernel vector
+        # keeps only the first basis point
+        coeffs = [CycloNum.from_rational(detv.order, 1), CycloNum(detv.order)]
     else:
+        lm = l_matrix(d, n, rotations, basis)
         if not is_zero_scalar(linalg.det(lm)):
             raise ValueError(f"degree {n} is obstructed: det L != 0, no witness exists")
         coeffs = linalg.kernel_vector(lm)

@@ -209,11 +209,17 @@ def _float_matrix(m):
 def validate_tuple(t: RotationTuple,
                    orthonormality_tol: float = ORTHONORMALITY_TOL,
                    determinant_tol: float = DETERMINANT_TOL) -> ValidationReport:
-    """Check exact orthonormality and det = 1 (exact modes) or residual
-    tolerances (floating mode); failures are reported, not raised."""
-    issues = []
+    """Check exact orthonormality and det = 1 (exact and quad modes) or
+    residual tolerances (floating mode); a circle tuple is accepted on its
+    turns.  Failures are reported, not raised."""
+    issues = [] if t.matrices else ["the tuple has no rotations"]
     max_orth = 0.0
     max_det = 0.0
+    if t.mode == "circle":
+        # circle_rotation_tuple builds exact SO(2) matrices from the turns
+        if t.dimension != 2 or t.turns is None or len(t.turns) != t.r:
+            issues.append("circle tuple: matrices do not match its turns")
+        return ValidationReport(ok=not issues, mode=t.mode, issues=issues)
     for idx, m in enumerate(t.matrices):
         if len(m) != t.dimension or any(len(row) != t.dimension for row in m):
             issues.append(f"matrix {idx}: wrong shape")

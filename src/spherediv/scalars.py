@@ -1,10 +1,10 @@
 """Exact scalar arithmetic beyond the rationals.
 
-Everything that must be decided exactly in this package happens over one of
-three scalar domains: plain ``fractions.Fraction``, the real quadratic field
-Q(sqrt(D)) implemented here, or the cyclotomic ring of ``cyclotomic.CycloNum``.
-Determinants, kernels and sign tests never touch floating point in these
-domains.
+Exact linear algebra in this package runs over two scalar domains: plain
+``fractions.Fraction`` and the real quadratic field Q(sqrt(D)) implemented
+here.  Sums of roots of unity (``cyclotomic.CycloNum``, the circle tuples)
+are only multiplied, added and tested for zero, never eliminated over.
+Determinants, kernels, zero and sign tests never touch floating point.
 """
 
 from __future__ import annotations

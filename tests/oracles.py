@@ -4,7 +4,8 @@ These deliberately avoid the production code paths they check: the orthogonal
 polynomials come from literal Gram-Schmidt over exact rational moments, sphere
 integrals from a Gauss-Legendre x uniform-angle product rule, common-kernel
 questions from the rank of the stacked matrix, determinants from Bareiss
-elimination on the scalar objects themselves, certificate matrices from
+elimination on the scalar objects themselves or, over rings without division
+(sums of roots of unity), from cofactor expansion, certificate matrices from
 entry-by-entry Gegenbauer evaluation, zonal bases from Schur complements
 against an explicitly tracked inverse Gram matrix, rational sphere points from
 a sorted pool of Fraction stereographic images, witness residuals from a
@@ -92,6 +93,26 @@ def det_bareiss(m):
             a[i][k] = zero_like(a[i][k])
         prev = a[k][k]
     return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
+
+
+def det_cofactor(m):
+    """Division-free determinant by cofactor expansion along the first row;
+    works over any commutative ring, CycloNum included."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    total = None
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = m[0][j] * det_cofactor(minor)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
 
 
 def l_matrix_by_evaluate(d: int, n: int, rotations, points):

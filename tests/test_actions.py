@@ -12,8 +12,9 @@ from spherediv.actions import (GroupWord, common_fixed_point_test,
                                orbit_size_bound_check, parse_word,
                                reduced_words)
 from spherediv.linalg import identity_matrix, mat_vec
-from spherediv.points import (cayley_rotation, exact_tuple, floating_tuple,
-                              random_skew_matrix, z_axis_rotation_tuple)
+from spherediv.points import (cayley_rotation, circle_rotation_tuple,
+                              exact_tuple, floating_tuple, random_skew_matrix,
+                              z_axis_rotation_tuple)
 from spherediv.scalars import is_zero_scalar
 from spherediv.tiling import exact_cover
 from oracles import divide_orbit_by_dfs, stacked_kernel_intersection
@@ -158,6 +159,14 @@ def test_orbit_finite_floating():
          [0.0, 0.0, 1.0]]
     rep = orbit((1.0, 0.0, 0.0), floating_tuple([m]), cap=100)
     assert rep.finite and rep.size == 3
+
+
+def test_orbit_of_circle_tuples_dedups_rational_images():
+    # the identity's image of the start point is a CycloNum tuple equal to it
+    for q in (3, 4, 12):
+        t = circle_rotation_tuple([Fraction(k, q) for k in range(q)])
+        report = orbit((Fraction(1), Fraction(0)), t)
+        assert report.finite and report.size == q
 
 
 def test_orbit_cap_exceeded_random_pair():

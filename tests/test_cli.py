@@ -3,7 +3,8 @@ from fractions import Fraction
 
 from spherediv import cli, linalg
 from spherediv.cli import main
-from spherediv.points import exact_tuple, identity_tuple, z_axis_rotation_tuple
+from spherediv.points import (exact_tuple, floating_tuple, identity_tuple,
+                              z_axis_rotation_tuple)
 from spherediv.serialize import tuple_to_json
 
 F = Fraction
@@ -264,3 +265,96 @@ def test_failed_euler_gate_exits_4(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal check failed: Euler gate failed: alternating sum 2 != 2\n"
+
+
+def write_json(tmp_path, data, name="input.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+CUBE_GENERATORS = [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, -1], [0, 1, 0]]]
+THIRDS = {"mode": "circle", "dimension": 2, "turns": ["1/3", "2/3", "0/1"]}
+
+
+def test_euler_check_refuses_floating_and_circle_tuples(tmp_path, capsys):
+    floating = write_tuple(tmp_path, floating_tuple(CUBE_GENERATORS), "f.json")
+    circle = write_json(tmp_path, THIRDS, "c.json")
+    for path, mode in ((floating, "floating"), (circle, "circle")):
+        assert main(["euler-check", "--generators", path, "--r", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{mode} tuples are not accepted" in captured.err
+        assert "accepted modes: exact, quad" in captured.err
+
+
+def test_euler_check_in_dimension_one_is_an_input_error(tmp_path, capsys):
+    # S^0 has no face lattice; this used to fail the Euler gate (exit 4)
+    path = write_tuple(tmp_path, exact_tuple([[[1]]]))
+    assert main(["euler-check", "--generators", path, "--r", "3"]) == 2
+    assert "dimension >= 2" in capsys.readouterr().err
+
+
+def test_fixed_point_test_refuses_circle_tuples(tmp_path, capsys):
+    path = write_json(tmp_path, THIRDS)
+    assert main(["fixed-point-test", "--tuple", path, "--words", "g1"]) == 2
+    assert "accepted modes: exact, quad, floating" in capsys.readouterr().err
+
+
+def test_malformed_tuple_structures_are_input_errors(tmp_path, capsys):
+    cases = [
+        (["obstruct"], {"mode": "exact", "dimension": 2, "matrices": 5}),
+        (["obstruct"], {"mode": "exact", "dimension": 2,
+                        "matrices": [[["1/1", None], ["0/1", "1/1"]]]}),
+        (["obstruct"], {"mode": "quad", "dimension": 2, "sqrt": 3,
+                        "matrices": [[[None, ["0", "0"]], [["0", "0"], ["1", "0"]]]]}),
+        (["euler-check", "--r", "3"], {"mode": "exact", "dimension": 3, "matrices": []}),
+        (["obstruct"], {"mode": "circle", "dimension": 2, "turns": []}),
+        (["obstruct"], {"mode": "exact", "dimension": "2",
+                        "matrices": [[["1/1", "0/1"], ["0/1", "1/1"]]]}),
+        (["obstruct"], {"mode": "exact", "dimension": 0, "matrices": [[]]}),
+        (["obstruct"], {"mode": "floating", "dimension": 2, "matrices": [[[1.0, 0.0]]]}),
+        (["obstruct"], {"mode": "circle", "turns": ["1/3", {}]}),
+    ]
+    for argv, data in cases:
+        path = write_json(tmp_path, data)
+        flag = "--generators" if argv[0] == "euler-check" else "--tuple"
+        assert main(argv + [flag, path]) == 2, data
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+def test_orbit_of_a_circle_tuple_counts_each_point_once(tmp_path, capsys):
+    for q, size in ((3, 3), (4, 4), (12, 12)):
+        turns = [f"{k}/{q}" for k in range(1, q)] + ["0/1"]
+        path = write_json(tmp_path, {"mode": "circle", "dimension": 2, "turns": turns})
+        code, out = run(capsys, ["orbit", "--tuple", path, "--point", "1,0"])
+        assert code == 0
+        data = json.loads(out)
+        assert data["finite"] is True and data["size"] == size
+
+
+def test_circle_witness_block_is_the_canonical_kernel_vector(tmp_path, capsys):
+    path = write_json(tmp_path, THIRDS)
+    code, out = run(capsys, ["obstruct", "--tuple", path, "--nmax", "3",
+                             "--witness", "2"])
+    assert code == 0
+    data = json.loads(out)
+    assert [d["det"] for d in data["report"]["degrees"]] == \
+        ["0", "0", "CycloNum(12, 9/4*z^0)"]
+    assert data["witness"]["coefficients"] == ["CycloNum(12, 1*z^0)", "CycloNum(12, 0)"]
+
+
+def test_lifted_descriptor_must_match_its_lower_division(tmp_path, capsys):
+    base = {"kind": "circle", "turns": ["0/1", "1/3", "2/3"],
+            "arcs": [{"start": "0/1", "end": "1/3"}]}
+    good = write_json(tmp_path, {"kind": "lifted", "dimension": 4, "r": 3, "lower": base},
+                      "good.json")
+    assert main(["verify-partition", "--desc", good, "--samples", "200"]) == 0
+    capsys.readouterr()
+    for dim, r in ((9, 5), (4, 5), (6, 3), (4, "3"), (4, 3.0)):
+        path = write_json(tmp_path, {"kind": "lifted", "dimension": dim, "r": r,
+                                     "lower": base}, "bad.json")
+        assert main(["verify-partition", "--desc", path, "--samples", "200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")

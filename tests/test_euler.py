@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -99,21 +98,6 @@ def test_quad_mode_lattice():
     lat = face_lattice(poly)
     assert euler_check(lat)
     assert lat.counts[0] == len(poly.vertices)
-
-
-def test_floating_mode_lattice():
-    a = 2 * math.pi / 3
-    m = [[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
-         [0.0, 0.0, 1.0]]
-    g = enumerate_group(exact_tuple([[[F(1), F(0), F(0)], [F(0), F(1), F(0)],
-                                      [F(0), F(0), F(1)]]]), cap=10)
-    from spherediv.points import floating_tuple
-
-    gf = enumerate_group(floating_tuple([m]), cap=10)
-    poly = orbit_polytope(gf.elements, 3, mode="floating")
-    lat = face_lattice(poly)
-    assert lat.counts == [14, 36, 24]
-    assert lat.euler_sum == 2
 
 
 def test_rejects_degenerate_vertex_set():

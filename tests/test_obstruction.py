@@ -11,14 +11,15 @@ from spherediv import linalg
 from spherediv.linalg import det
 from spherediv.obstruction import (WITNESS_RESIDUAL_TOL, WITNESS_SAMPLE_COUNT,
                                    _validate_witness, certify_degrees,
-                                   default_n_max, extract_witness, l_matrix)
+                                   circle_det, default_n_max, extract_witness,
+                                   l_matrix)
 from spherediv.points import (cayley_rotation, circle_rotation_tuple,
                               exact_tuple, floating_tuple, identity_tuple,
                               random_skew_matrix, z_axis_rotation_tuple)
 from spherediv.scalars import is_zero_scalar, scalar_to_float
 from spherediv.zonal import build_zonal_basis
-from oracles import (l_matrix_by_evaluate, witness_residual_by_sample,
-                     witness_value_by_point)
+from oracles import (det_cofactor, l_matrix_by_evaluate,
+                     witness_residual_by_sample, witness_value_by_point)
 
 
 def test_l_matrix_identity_law():
@@ -36,12 +37,6 @@ def test_l_matrix_single_identity_is_gram():
     basis = build_zonal_basis(3, 2)
     lm = l_matrix(3, 2, identity_tuple(3, 1), basis)
     assert lm == basis.gram
-
-
-def test_l_matrix_half_turn_singular_degree_one():
-    t = circle_rotation_tuple([Fraction(1, 2), Fraction(0)])
-    basis = build_zonal_basis(2, 1)
-    assert det(l_matrix(2, 1, t, basis)).is_zero()
 
 
 def test_certify_identity_all_obstructed():
@@ -255,3 +250,44 @@ def test_l_matrix_matches_termwise_evaluation(d, n):
             [[type(x) for x in row] for row in want]
         assert [[str(x) for x in row] for row in got] == \
             [[str(x) for x in row] for row in want]
+
+
+def _circle_cases():
+    """Every (t, 0) with a denominator of t up to 12, and 60 seeded tuples of
+    3 to 5 turns with denominators up to 12."""
+    cases = sorted({(Fraction(k, q), Fraction(0)) for q in range(1, 13) for k in range(q)})
+    rng = random.Random(2024)
+    for _ in range(60):
+        turns = []
+        for _ in range(rng.randint(3, 5)):
+            q = rng.randint(1, 12)
+            turns.append(Fraction(rng.randrange(q), q))
+        cases.append(tuple(turns))
+    return cases
+
+
+def test_circle_det_is_the_determinant_of_l():
+    bases = {n: build_zonal_basis(2, n) for n in range(1, 9)}
+    for turns in _circle_cases():
+        t = circle_rotation_tuple(turns)
+        zeros = set()
+        for n, basis in bases.items():
+            got = circle_det(t, n, basis)
+            assert got == det_cofactor(l_matrix_by_evaluate(2, n, t, basis.points))
+            if got.is_zero():
+                zeros.add(n)
+        assert zeros == necessary_degrees([Angle(x) for x in turns], 8)
+
+
+def test_circle_certificate_prints_zero_at_witness_degrees():
+    t = circle_rotation_tuple([Fraction(1, 3), Fraction(2, 3), Fraction(0)])
+    degrees = certify_degrees(t, n_max=3).degrees
+    assert [(c.det_value, c.det_float) for c in degrees[:2]] == [("0", 0.0), ("0", 0.0)]
+    # degree 3: lambda_3 = 3 and det M_3 = 1/4
+    assert (degrees[2].det_value, degrees[2].det_float) == ("CycloNum(12, 9/4*z^0)", 2.25)
+
+
+def test_l_matrix_refuses_circle_tuples():
+    t = circle_rotation_tuple([Fraction(1, 2), Fraction(0)])
+    with pytest.raises(ValueError):
+        l_matrix(2, 1, t, build_zonal_basis(2, 1))

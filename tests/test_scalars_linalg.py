@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherediv.cyclotomic import CycloNum, unit_vectors_sum_is_zero
-from spherediv.linalg import (det, det_cofactor, inverse, kernel_vector,
-                              mat_mul, mat_vec, nullspace, rank, rref, solve)
+from spherediv.linalg import (det, inverse, kernel_vector, mat_mul, mat_vec,
+                              nullspace, rank, rref, solve)
 from spherediv.scalars import QuadExt, is_zero_scalar, scalar_to_float
-from oracles import det_bareiss
+from oracles import det_bareiss, det_cofactor
 
 
 def test_quadext_field_ops():
@@ -58,6 +58,19 @@ def test_cyclo_float_value():
     assert abs(float(c) - math.cos(math.pi / 6)) < 1e-12
 
 
+def test_cyclo_hash_agrees_with_equal_rationals():
+    half = CycloNum.from_rational(8, Fraction(1, 2))
+    assert half == Fraction(1, 2)
+    assert hash(half) == hash(Fraction(1, 2))
+    # a rational value written with non-trivial roots: 1 + z^4 + z^8 = 0 in
+    # order 12, so this is 2 - 0 = 2
+    two = CycloNum(12, {0: 3, 4: 1, 8: 1})
+    assert two == 2 and hash(two) == hash(2)
+    assert hash(CycloNum(5)) == hash(0)
+    assert {half: 1}.get(Fraction(1, 2)) == 1
+    assert hash(CycloNum.root(8, 1)) == hash(CycloNum(8, {1: 1, 9: 0}))
+
+
 def test_unit_vector_sums():
     assert unit_vectors_sum_is_zero([Fraction(0), Fraction(1, 2)])
     assert unit_vectors_sum_is_zero([Fraction(0), Fraction(1, 3), Fraction(2, 3)])
@@ -81,6 +94,12 @@ def test_det_and_inverse_exact():
             prod = mat_mul(m, inv)
             assert all(prod[i][j] == (1 if i == j else 0)
                        for i in range(n) for j in range(n))
+
+
+def test_det_refuses_roots_of_unity():
+    z = CycloNum.root(4, 1)
+    with pytest.raises(TypeError):
+        det([[z, z], [z, z]])
 
 
 def test_det_quadext():
