@@ -21,7 +21,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomic import unit_vectors_sum_is_zero
+from .cyclotomic import divisors, unit_vectors_sum_is_zero
+from .serialize import json_entry
 from .tiling import TileInstance, solve as tiling_solve
 
 
@@ -138,7 +139,12 @@ class ArcSet:
 
     @classmethod
     def from_json(cls, data) -> "ArcSet":
-        return cls(tuple((Fraction(item["start"]), Fraction(item["end"])) for item in data))
+        """The arc set a JSON list of {"start", "end"} objects describes; any
+        malformed structure raises ValueError."""
+        if not isinstance(data, list) or not all(isinstance(item, dict) for item in data):
+            raise ValueError(f"arcs must be a list of {{start, end}} objects, got {data!r}")
+        return cls(tuple((json_entry(Fraction, item.get("start")),
+                          json_entry(Fraction, item.get("end"))) for item in data))
 
 
 @dataclass
@@ -195,9 +201,15 @@ def cancellation_at(angles, n: int) -> bool:
 def fractional_test(angles) -> int | None:
     """Smallest n >= 1 at which the rotated unit vectors cancel, else None.
 
-    For rational parts with common denominator q the values repeat with period
-    q in n, so the scan over 1..q is a complete decision; groups with a single
-    member can never cancel.
+    Let q be the common denominator of the rational parts.  Each group's sum
+    at n lies in Q(zeta_q) and depends on n only mod q.  With g = gcd(n, q),
+    some unit u mod q has n = g*u (mod q), since units mod q/g lift to units
+    mod q; the automorphism zeta_q -> zeta_q^u then sends every group's sum
+    at g to its sum at n, so one vanishes exactly when the other does.  The
+    least cancelling n is therefore a divisor of q: walking the divisors in
+    ascending order decides the tuple with at most tau(q) zero tests per
+    group (tau(q) the number of divisors of q) instead of q.  Groups with a
+    single member can never cancel.
     """
     ang = _as_angles(angles)
     if len(ang) < 2:
@@ -208,7 +220,7 @@ def fractional_test(angles) -> int | None:
     q = 1
     for a in ang:
         q = q * a.turns.denominator // math.gcd(q, a.turns.denominator)
-    for n in range(1, q + 1):
+    for n in divisors(q):
         if all(unit_vectors_sum_is_zero([n * t for t in turns])
                for turns in groups.values()):
             return n

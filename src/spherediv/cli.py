@@ -26,12 +26,13 @@ from .euler import divisibility_obstruction, euler_check, face_lattice, \
     orbit_polytope
 from .gegenbauer import evaluate as poly_evaluate, gegenbauer, harmonic_dimension
 from .lifting import descriptor_from_json, lift_from_circle, verify_partition
-from .obstruction import certify_degrees, default_n_max, extract_witness
+from .obstruction import certify_degrees, default_n_max, extract_witness, \
+    obstructed_degree_error
 from .points import enumerate_points, validate_tuple
 from .serialize import format_fraction, point_to_json, tuple_from_json, \
     tuple_to_json
 from .synthesis import complete_rows, draw_upper_entries, epsilon_schedule, \
-    genericity_diagnostics, UpperEntries
+    genericity_diagnostics, upper_entries_from_json
 from .tiling import TileInstance, solve as tile_solve
 from .zonal import build_zonal_basis
 
@@ -54,7 +55,10 @@ def _envelope(args, **fields) -> dict:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 ALL_MODES = ("exact", "quad", "floating", "circle")
@@ -117,6 +121,11 @@ def cmd_obstruct(args) -> dict:
     report = certify_degrees(rotations, n_max=n_max)
     out = _envelope(args, report=report.to_json())
     if args.witness is not None:
+        # an exact degree the sweep already decided as obstructed has no
+        # witness: fail before building L again
+        if rotations.is_exact and 1 <= args.witness <= n_max \
+                and report.degrees[args.witness - 1].status == "obstructed":
+            raise obstructed_degree_error(args.witness)
         out["witness"] = extract_witness(rotations, args.witness).to_json()
     return out
 
@@ -209,7 +218,7 @@ def cmd_lift(args) -> dict:
 
 def cmd_verify_partition(args) -> dict:
     data = _load_json(args.desc)
-    if "descriptor" in data:  # accept a full `lift` report as input
+    if isinstance(data, dict) and "descriptor" in data:  # accept a full `lift` report
         data = data["descriptor"]
     desc = descriptor_from_json(data)
     report = verify_partition(desc, samples=args.samples, seed=args.seed)
@@ -219,8 +228,10 @@ def cmd_verify_partition(args) -> dict:
 def cmd_synth_generic(args) -> dict:
     rng = np.random.default_rng(args.seed)
     if args.upper:
-        data = _load_json(args.upper)
-        upper = UpperEntries(dimension=data["dimension"], blocks=data["blocks"])
+        upper = upper_entries_from_json(_load_json(args.upper))
+        if (upper.dimension, upper.r) != (args.dim, args.r):
+            raise ValueError(f"--dim {args.dim} and --r {args.r} do not match the upper "
+                             f"entries (dimension {upper.dimension}, {upper.r} blocks)")
     else:
         upper = draw_upper_entries(rng, args.dim, args.r)
     if not upper.within_schedule():

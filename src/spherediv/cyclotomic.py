@@ -34,6 +34,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n in ascending order."""
+    divs = [1]
+    for p, e in factorize(n):
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
 class CycloNum:
     """Exact element of Z[zeta_N] tensor Q, as a sparse sum of roots of unity."""
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import ArcSet, verify_arcset
+from .serialize import json_entry, json_int, json_list
 
 BOUNDARY_MARGIN = 1e-7
 MEMBERSHIP_MARGIN = 1e-9
@@ -85,24 +86,37 @@ class LiftedDivision:
 DivisionDescriptor = BaseCircleDivision | PlaceholderDivision | LiftedDivision
 
 
-def descriptor_from_json(data: dict) -> DivisionDescriptor:
+def descriptor_from_json(data) -> DivisionDescriptor:
+    """The division descriptor a JSON object describes; any malformed
+    structure raises ValueError.  The chain of lifts is walked iteratively,
+    so nesting depth is bounded only by the JSON reader."""
+    lifts = []
+    while isinstance(data, dict) and data.get("kind") == "lifted":
+        lifts.append(data)
+        data = data.get("lower")
+    if not isinstance(data, dict):
+        raise ValueError(f"a division descriptor must be a JSON object, "
+                         f"got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "circle":
-        return BaseCircleDivision(tuple(Fraction(t) for t in data["turns"]),
-                                  ArcSet.from_json(data["arcs"]))
-    if kind == "placeholder":
-        return PlaceholderDivision(dimension=data["dimension"], r=data["r"])
-    if kind == "lifted":
-        lower = descriptor_from_json(data["lower"])
-        r, dim = data["r"], data["dimension"]
+        turns = json_list(data.get("turns"))
+        desc = BaseCircleDivision(tuple(json_entry(Fraction, t) for t in turns),
+                                  ArcSet.from_json(data.get("arcs")))
+    elif kind == "placeholder":
+        desc = PlaceholderDivision(dimension=json_int(data, "dimension", 1),
+                                   r=json_int(data, "r", 1))
+    else:
+        raise ValueError(f"unknown descriptor kind {kind!r}")
+    for node in reversed(lifts):
+        r, dim = node.get("r"), node.get("dimension")
         # a lift keeps the lower division's r and adds two dimensions
-        if type(r) is not int or type(dim) is not int or r != lower.r \
-                or dim - 2 != lower.dimension:
+        if type(r) is not int or type(dim) is not int or r != desc.r \
+                or dim - 2 != desc.dimension:
             raise ValueError(f"lifted descriptor (dimension {dim!r}, r {r!r}) does not "
-                             f"match its lower division (dimension {lower.dimension!r}, "
-                             f"r {lower.r!r})")
-        return LiftedDivision(lower=lower, r=r, dimension=dim)
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+                             f"match its lower division (dimension {desc.dimension!r}, "
+                             f"r {desc.r!r})")
+        desc = LiftedDivision(lower=desc, r=r, dimension=dim)
+    return desc
 
 
 @dataclass

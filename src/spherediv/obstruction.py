@@ -207,6 +207,10 @@ class FractionalWitness:
         }
 
 
+def obstructed_degree_error(n: int) -> ValueError:
+    return ValueError(f"degree {n} is obstructed: det L != 0, no witness exists")
+
+
 def extract_witness(rotations: RotationTuple, n: int,
                     samples: int = WITNESS_SAMPLE_COUNT, seed: int = 0) -> FractionalWitness:
     """Exact kernel witness at degree n; fails when the degree is obstructed.
@@ -224,17 +228,15 @@ def extract_witness(rotations: RotationTuple, n: int,
     if rotations.mode == "circle":
         detv = circle_det(rotations, n, basis)
         if not detv.is_zero():
-            raise ValueError(f"degree {n} is obstructed: det L != 0, no witness exists")
+            raise obstructed_degree_error(n)
         # L_n vanishes entrywise with det L_n, so the canonical kernel vector
         # keeps only the first basis point
         coeffs = [CycloNum.from_rational(detv.order, 1), CycloNum(detv.order)]
     else:
-        lm = l_matrix(d, n, rotations, basis)
-        if not is_zero_scalar(linalg.det(lm)):
-            raise ValueError(f"degree {n} is obstructed: det L != 0, no witness exists")
-        coeffs = linalg.kernel_vector(lm)
+        # the kernel is trivial exactly when L is nonsingular
+        coeffs = linalg.kernel_vector(l_matrix(d, n, rotations, basis))
         if coeffs is None:
-            raise ValueError(f"degree {n} is obstructed: trivial kernel")
+            raise obstructed_degree_error(n)
     witness = FractionalWitness(degree=n, r=rotations.r, coefficients=coeffs,
                                 points=basis.points, max_residual=0.0)
     witness.max_residual = _validate_witness(rotations, witness, samples, seed)

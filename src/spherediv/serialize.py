@@ -38,7 +38,7 @@ def tuple_to_json(t: RotationTuple) -> dict:
     raise ValueError(f"unknown tuple mode {t.mode!r}")
 
 
-def _list(x, length: int | None = None) -> list:
+def json_list(x, length: int | None = None) -> list:
     """x, if it is a non-empty list (of the given length, if any)."""
     if not isinstance(x, list) or not x or length not in (None, len(x)):
         raise ValueError(f"expected a non-empty list{f' of length {length}' if length else ''}, "
@@ -46,12 +46,20 @@ def _list(x, length: int | None = None) -> list:
     return x
 
 
-def _entry(parse, x):
+def json_int(data: dict, key: str, minimum: int) -> int:
+    """data[key], if it is an integer >= minimum (a JSON boolean is not)."""
+    x = data.get(key)
+    if type(x) is not int or x < minimum:
+        raise ValueError(f"{key!r} must be an integer >= {minimum}, got {x!r}")
+    return x
+
+
+def json_entry(parse, x):
     """parse(x), with any failure on malformed input reported as ValueError."""
     try:
         return parse(x)
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise ValueError(f"bad tuple entry {x!r}: {exc}") from None
+        raise ValueError(f"bad entry {x!r}: {exc}") from None
 
 
 def tuple_from_json(data: dict) -> RotationTuple:
@@ -64,15 +72,14 @@ def tuple_from_json(data: dict) -> RotationTuple:
     if mode == "circle":
         if data.get("dimension", 2) != 2:
             raise ValueError("a circle tuple has dimension 2")
-        return circle_rotation_tuple([_entry(Fraction, t) for t in _list(data.get("turns"))])
+        turns = json_list(data.get("turns"))
+        return circle_rotation_tuple([json_entry(Fraction, t) for t in turns])
     if mode not in ("exact", "floating", "quad"):
         raise ValueError(f"unknown tuple mode {mode!r}")
-    d = data.get("dimension")
-    if type(d) is not int or d < 1:
-        raise ValueError(f"'dimension' must be an integer >= 1, got {d!r}")
-    dd = _entry(int, data.get("sqrt")) if mode == "quad" else None
+    d = json_int(data, "dimension", 1)
+    dd = json_entry(int, data.get("sqrt")) if mode == "quad" else None
     parse = {"exact": Fraction, "floating": float,
-             "quad": lambda x: QuadExt(Fraction(_list(x, 2)[0]), Fraction(x[1]), dd)}[mode]
-    mats = [[[_entry(parse, x) for x in _list(row, d)] for row in _list(m, d)]
-            for m in _list(data.get("matrices"))]
+             "quad": lambda x: QuadExt(Fraction(json_list(x, 2)[0]), Fraction(x[1]), dd)}[mode]
+    mats = [[[json_entry(parse, x) for x in json_list(row, d)] for row in json_list(m, d)]
+            for m in json_list(data.get("matrices"))]
     return RotationTuple(dimension=d, matrices=mats, mode=mode, sqrt_d=dd)

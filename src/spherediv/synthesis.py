@@ -25,6 +25,7 @@ from .actions import common_fixed_point_test, evaluate_word, reduced_words
 from .obstruction import ObstructionReport, certify_degrees
 from .points import RotationTuple, validate_tuple
 from .scalars import scalar_to_float
+from .serialize import json_entry, json_int, json_list
 
 COMPLETION_ORTHONORMALITY_TOL = 1e-12
 COMPLETION_DETERMINANT_TOL = 1e-10
@@ -84,6 +85,23 @@ class UpperEntries:
         bounds = bounds or epsilon_schedule(self.dimension)
         return all(abs(e) <= bounds[m] for block in self.blocks
                    for m, row in enumerate(block) for e in row)
+
+
+def upper_entries_from_json(data) -> UpperEntries:
+    """The upper entries a JSON object {"dimension", "blocks"} describes; any
+    malformed structure raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"upper entries must be a JSON object, got {type(data).__name__}")
+    d = json_int(data, "dimension", 2)
+
+    def entry(x):
+        if type(x) not in (int, float) or not math.isfinite(x):
+            raise ValueError("an upper entry is a finite number")
+        return float(x)
+
+    blocks = [[[json_entry(entry, x) for x in json_list(row)] for row in json_list(block)]
+              for block in json_list(data.get("blocks"))]
+    return UpperEntries(dimension=d, blocks=blocks)
 
 
 def draw_upper_entries(rng, d: int, r: int) -> UpperEntries:

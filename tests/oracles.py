@@ -10,8 +10,9 @@ entry-by-entry Gegenbauer evaluation, zonal bases from Schur complements
 against an explicitly tracked inverse Gram matrix, rational sphere points from
 a sorted pool of Fraction stereographic images, witness residuals from a
 loop over samples, rotations and basis points, orbit divisions from a plain
-recursive DFS over scanned permutations, and Z_N tilings from a search that
-recomputes every row and image modulo N.
+recursive DFS over scanned permutations, Z_N tilings from a search that
+recomputes every row and image modulo N, and the circle's first cancelling
+degree from a zero test at every n in one full period.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from spherediv.circle import Angle, parse_angle
+from spherediv.cyclotomic import unit_vectors_sum_is_zero
 from spherediv.gegenbauer import (RationalPolynomial, evaluate, gegenbauer,
                                   harmonic_dimension, weighted_inner_product)
 from spherediv.errors import BudgetExceeded
@@ -392,3 +395,24 @@ def tiling_search_by_modulus(modulus: int, shifts, node_budget: int):
     engine = _ModularSearch(modulus, shifts, node_budget)
     found = engine.search()
     return (tuple(sorted(engine.chosen)) if found else None), engine.nodes
+
+
+def fractional_test_by_scan(angles):
+    """Least n >= 1 at which the unit vectors at the n-fold angles cancel
+    within every formal group, else None, by testing each n in 1..q, q the
+    common denominator of the rational parts (the sums repeat with period q)."""
+    ang = [a if isinstance(a, Angle) else parse_angle(a) if isinstance(a, str)
+           else Angle(Fraction(a)) for a in angles]
+    if len(ang) < 2:
+        raise ValueError("need r >= 2 angles")
+    groups: dict[tuple, list[Fraction]] = {}
+    for a in ang:
+        groups.setdefault(a.formal, []).append(a.turns)
+    if any(len(turns) == 1 for turns in groups.values()):
+        return None
+    q = math.lcm(*(a.turns.denominator for a in ang))
+    for n in range(1, q + 1):
+        if all(unit_vectors_sum_is_zero([n * t for t in turns])
+               for turns in groups.values()):
+            return n
+    return None

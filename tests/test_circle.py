@@ -1,11 +1,16 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherediv.circle import (Angle, ArcSet, cancellation_at, classify,
                               divide_r2, divide_r3, divide_r4, fractional_test,
                               necessary_degrees, parse_angle, verify_arcset)
+from spherediv.cyclotomic import divisors
+
+from oracles import fractional_test_by_scan
 
 
 F = Fraction
@@ -59,6 +64,55 @@ def test_fractional_test_examples():
 
 def test_fractional_test_singleton_group_blocks():
     assert fractional_test(["tau", "1/2", "0"]) is None
+
+
+def test_divisors_ascending():
+    assert divisors(1) == [1]
+    assert divisors(20014) == [1, 2, 10007, 20014]
+    for n in (12, 97, 360, 2491):
+        assert divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
+
+
+@pytest.mark.parametrize("angles, expected", [
+    (["1/20014", "0"], 10007),  # the only cancelling divisor is a large prime
+    (["1/47", "1/53", "0"], None),  # a full period of 2491 with no cancellation
+])
+def test_fractional_test_large_period_is_fast(angles, expected):
+    start = time.perf_counter()
+    assert fractional_test(angles) == expected
+    assert time.perf_counter() - start < 0.5
+
+
+OFFSETS = ["", "", "", " + tau", " - 1/2*sigma"]
+
+
+@st.composite
+def circle_tuples(draw):
+    """2..6 angles with denominators <= 30, some with a formal offset.  Part
+    of the angles come as whole regular m-gons at a degree k (angles
+    (c + j + i_j*m)/(m*k), j < m), so that many tuples cancel."""
+    r = draw(st.integers(2, 6))
+    angles = []
+    while len(angles) < r:
+        room = r - len(angles)
+        offset = draw(st.sampled_from(OFFSETS))
+        if room >= 2 and draw(st.booleans()):
+            m = draw(st.integers(2, room))
+            q = m * draw(st.integers(1, 30 // m))
+            c = draw(st.integers(0, q - 1))
+            for j in range(m):
+                i = draw(st.integers(0, q // m - 1))
+                angles.append(f"{(c + j + i * m) % q}/{q}{offset}")
+        else:
+            q = draw(st.integers(1, 30))
+            angles.append(f"{draw(st.integers(0, q - 1))}/{q}{offset}")
+    return draw(st.permutations(angles))
+
+
+@settings(max_examples=150, deadline=None)
+@given(angles=circle_tuples())
+def test_fractional_test_matches_the_full_scan(angles):
+    assert fractional_test(angles) == fractional_test_by_scan(angles)
 
 
 def test_necessary_degrees_periodic():

@@ -358,3 +358,63 @@ def test_lifted_descriptor_must_match_its_lower_division(tmp_path, capsys):
         assert main(["verify-partition", "--desc", path, "--samples", "200"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+def test_obstruct_witness_at_a_decided_obstructed_degree(tmp_path, capsys, monkeypatch):
+    path = write_tuple(tmp_path, identity_tuple(2, 2))
+
+    def unreachable(*args):
+        raise AssertionError("the sweep already decided this degree")
+
+    monkeypatch.setattr(cli, "extract_witness", unreachable)
+    assert main(["obstruct", "--tuple", path, "--nmax", "3", "--witness", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: degree 2 is obstructed: det L != 0, no witness exists\n"
+
+
+def test_descriptor_files_are_checked_at_the_boundary(tmp_path, capsys):
+    base = {"kind": "circle", "turns": ["0/1", "1/2"], "arcs": [{"start": "0/1", "end": "1/2"}]}
+    cases = [[1], "descriptor", {"kind": "lifted", "dimension": 4, "r": 2, "lower": [base]},
+             {**base, "turns": "0/1"}, {**base, "arcs": {"start": "0/1", "end": "1/2"}},
+             {**base, "arcs": [["0/1", "1/2"]]}, {**base, "turns": [None, "1/2"]},
+             {"kind": "placeholder", "dimension": 0, "r": 2},
+             {"kind": "placeholder", "dimension": 3, "r": "2"},
+             {"kind": "placeholder", "dimension": True, "r": 2}]
+    for data in cases:
+        path = write_json(tmp_path, data)
+        assert main(["verify-partition", "--desc", path, "--samples", "50"]) == 2, data
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+    # nesting deeper than the JSON reader allows is an input error as well
+    path = tmp_path / "deep.json"
+    path.write_text('{"kind": "lifted", "lower": ' * 50000 + "{}" + "}" * 50000)
+    assert main(["verify-partition", "--desc", str(path), "--samples", "50"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_upper_entry_files_are_checked_at_the_boundary(tmp_path, capsys):
+    good = {"dimension": 2, "blocks": [[[0.01]], [[-0.005]]]}
+    argv = ["synth-generic", "--dim", "2", "--r", "2", "--word-cap", "2", "--nmax", "1"]
+    assert main(argv + ["--upper", write_json(tmp_path, good)]) == 0
+    capsys.readouterr()
+    cases = [(argv, [1]), (argv, {"dimension": 1, "blocks": [[]]}),
+             (argv, {"dimension": "2", "blocks": good["blocks"]}),
+             (argv, {"dimension": 2, "blocks": [[0.01], [-0.02]]}),
+             (argv, {"dimension": 2, "blocks": [[["0.01"]], [[-0.02]]]}),
+             (argv, {"dimension": 2, "blocks": [[[True]], [[-0.02]]]}),
+             (argv, {"dimension": 2, "blocks": [[[float("nan")]], [[-0.02]]]}),
+             (["synth-generic", "--dim", "3", "--r", "2"], good),
+             (["synth-generic", "--dim", "2", "--r", "1"], good)]
+    for args, data in cases:
+        assert main(args + ["--upper", write_json(tmp_path, data)]) == 2, (args, data)
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+def test_malformed_arc_files_are_input_errors(tmp_path, capsys):
+    for data in ([1], {"start": "0/1", "end": "1/2"}, [{"start": None, "end": "1/2"}]):
+        path = write_json(tmp_path, data)
+        assert main(["circle", "verify", "--angles", "1/2,0", "--arcs", path]) == 2, data
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error: ")

@@ -156,3 +156,23 @@ def test_descriptor_json_round_trip():
     assert again.lower.lower.arcs == desc.lower.lower.arcs
     ph = PlaceholderDivision(dimension=5, r=4)
     assert descriptor_from_json(ph.to_json()) == ph
+
+
+def _placeholder_chain(depth: int) -> dict:
+    data, dim = {"kind": "placeholder", "dimension": 3, "r": 2}, 3
+    for _ in range(depth):
+        dim += 2
+        data = {"kind": "lifted", "dimension": dim, "r": 2, "lower": data}
+    return data
+
+
+def test_descriptor_from_json_walks_deep_chains_without_recursion():
+    desc = descriptor_from_json(_placeholder_chain(5000))
+    assert desc.dimension == 3 + 2 * 5000 and desc.r == 2
+    bottom = _placeholder_chain(5000)
+    node = bottom
+    while node["kind"] == "lifted":
+        node = node["lower"]
+    node["r"] = 3
+    with pytest.raises(ValueError, match="does not match its lower division"):
+        descriptor_from_json(bottom)

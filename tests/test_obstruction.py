@@ -184,7 +184,7 @@ def test_extract_witness_rejects_a_wrong_kernel_vector(monkeypatch):
 
 
 def test_witness_refused_when_obstructed():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree 2 is obstructed: det L != 0"):
         extract_witness(identity_tuple(2, 2), 2)
 
 
