@@ -12,9 +12,8 @@ higher-dimensional spheres with randomized verification.
 
 __version__ = "0.1.0"
 
-from .circle import Angle, ArcSet, CircleClassification, classify, divide_r2, \
-    divide_r3, divide_r4, fractional_test, necessary_degrees, parse_angle, \
-    verify_arcset
+from .circle import Angle, ArcSet, CircleClassification, classify, \
+    fractional_test, necessary_degrees, parse_angle, verify_arcset
 from .errors import BudgetExceeded
 from .gegenbauer import RationalPolynomial, evaluate, gegenbauer, \
     harmonic_dimension, normalized_moment, weighted_inner_product

@@ -1,7 +1,9 @@
 """Measurable divisibility of the circle under tuples of rotations.
 
 Angles are measured in turns (fractions of a full revolution), so every
-congruence in the r <= 4 case analysis is an exact statement about rationals.
+closed form for the least cancelling degree is an exact statement about
+rationals: r <= 3 unit vectors sum to zero only as a rotated regular r-gon,
+and four only as two antipodal pairs (Lam and Leung, J. Algebra 224, 2000).
 An angle may carry a formal transcendental part (a rational combination of
 named generators); cancellation of unit vectors is then decided exactly within
 each group of angles sharing the same formal part, since algebraically
@@ -233,110 +235,6 @@ def necessary_degrees(angles, n_max: int) -> set[int]:
     return {n for n in range(1, n_max + 1) if cancellation_at(ang, n)}
 
 
-def _solve_turn_congruence(a: Fraction, c: Fraction) -> tuple[int, int] | None:
-    """Solutions n of n*a = c (mod 1) as a residue class (n0, period), or None."""
-    a, c = Fraction(a) % 1, Fraction(c) % 1
-    big_a = a.numerator * c.denominator
-    big_b = c.numerator * a.denominator
-    big_m = a.denominator * c.denominator
-    g = math.gcd(big_a, big_m)
-    if big_b % g:
-        return None
-    m = big_m // g
-    if m == 1:
-        return 0, 1
-    inv = pow((big_a // g) % m, -1, m)
-    return (big_b // g) * inv % m, m
-
-
-def _merge_congruences(first, second) -> tuple[int, int] | None:
-    if first is None or second is None:
-        return None
-    n0, p = first
-    n1, q = second
-    g = math.gcd(p, q)
-    if (n1 - n0) % g:
-        return None
-    lcm = p // g * q
-    # lift n0 to the combined class
-    k = ((n1 - n0) // g * pow(p // g, -1, q // g)) % (q // g) if q // g > 1 else 0
-    return (n0 + p * k) % lcm, lcm
-
-
-def _smallest_positive(cls: tuple[int, int] | None) -> int | None:
-    if cls is None:
-        return None
-    n0, period = cls
-    n = n0 % period
-    return n if n >= 1 else period
-
-
-def divide_r2(t1, t2) -> ArcSet | None:
-    """Arc set whose two translates partition the circle, or None.
-
-    Exists iff the difference of the two angles generates a finite cyclic
-    subgroup of even order 2n; the set is n equally spaced arcs of length
-    1/(2n) of a turn.
-    """
-    a1, a2 = _as_angles([t1, t2])
-    delta = a1 - a2
-    if not delta.is_rational:
-        return None
-    p, q = delta.turns.numerator, delta.turns.denominator
-    if p == 0 or q % 2:
-        return None
-    n = q // 2
-    cell = Fraction(1, q)
-    return ArcSet(tuple((Fraction(j, n), Fraction(j, n) + cell) for j in range(n)))
-
-
-def divide_r3(t1, t2, t3) -> ArcSet | None:
-    """Arc set whose three translates partition the circle, or None.
-
-    After translating the third angle to zero, a division exists iff some n
-    sends the first two angles to the two non-trivial thirds of a turn; the
-    set is n equally spaced arcs of length 1/(3n).
-    """
-    a1, a2, a3 = _as_angles([t1, t2, t3])
-    s1, s2 = a1 - a3, a2 - a3
-    if not (s1.is_rational and s2.is_rational):
-        return None
-    best = None
-    for c1, c2 in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3))):
-        merged = _merge_congruences(_solve_turn_congruence(s1.turns, c1),
-                                    _solve_turn_congruence(s2.turns, c2))
-        n = _smallest_positive(merged)
-        if n is not None and (best is None or n < best):
-            best = n
-    if best is None:
-        return None
-    n = best
-    k1 = int(s1.turns * 3 * n) % (3 * n)
-    k2 = int(s2.turns * 3 * n) % (3 * n)
-    if math.gcd(math.gcd(k1, k2), n) != 1:
-        raise ArithmeticError("minimal n should make the residues primitive")
-    cell = Fraction(1, 3 * n)
-    return ArcSet(tuple((Fraction(j, n), Fraction(j, n) + cell) for j in range(n)))
-
-
-def _antipodal_pattern_degree(s: list[Angle]) -> int | None:
-    """Smallest n splitting the four angles into two pairs at difference 1/2."""
-    pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-    half = Fraction(1, 2)
-    best = None
-    for pair_a, pair_b in pairings:
-        da = s[pair_a[0]] - s[pair_a[1]]
-        db = s[pair_b[0]] - s[pair_b[1]]
-        if not (da.is_rational and db.is_rational):
-            continue
-        merged = _merge_congruences(_solve_turn_congruence(da.turns, half),
-                                    _solve_turn_congruence(db.turns, half))
-        n = _smallest_positive(merged)
-        if n is not None and (best is None or n < best):
-            best = n
-    return best
-
-
 def _cyclic_group_data(turns: list[Fraction]) -> tuple[int, list[int]]:
     """Order N of the subgroup generated by the turns and their residues mod N."""
     lcm = 1
@@ -349,113 +247,92 @@ def _cyclic_group_data(turns: list[Fraction]) -> tuple[int, list[int]]:
     return order, [int(t * order) % order for t in turns]
 
 
-def divide_r4(t1, t2, t3, t4) -> CircleClassification:
-    """Complete classification for four circle rotations.
+def _pairing_degree(s: list[Angle]) -> int | None:
+    """Least n at which four unit vectors at n times the angles cancel.
 
-    No antipodal-pairs pattern at any n: not even fractionally divisible.
-    Pattern with genuinely transcendental offsets: fractionally divisible only.
-    Otherwise the tuple reduces to a finite cyclic group Z_{4m} and measurable
-    divisibility is exactly k-divisibility of Z_{4m}, decided by exact cover;
-    a tiling lifts to arcs made of 1/(4m)-turn cells.
+    Four unit vectors cancel only as two antipodal pairs, and n*p/q = 1/2
+    (mod 1) holds exactly at the odd multiples of q/2.  A pairing therefore
+    cancels exactly when its two differences are rational with even
+    denominators q_a, q_b carrying the same power of 2, first at
+    lcm(q_a/2, q_b/2).
     """
-    ang = _as_angles([t1, t2, t3, t4])
-    s = [a - ang[3] for a in ang]
-    n0 = _antipodal_pattern_degree(s)
-    if n0 is None:
-        return CircleClassification(verdict="not_fractional", r=4)
-    if not all(a.is_rational for a in s):
-        return CircleClassification(
-            verdict="fractional_only", r=4, witness_degree=n0,
-            notes=["irrational offsets force every fractional division to be "
-                   "non-measurable"])
-    turns = [a.turns for a in s]
-    order, residues = _cyclic_group_data(turns)
-    if order % 4:
-        return CircleClassification(
-            verdict="fractional_only", r=4, witness_degree=n0,
-            reduced_turns=tuple(turns), group_order=order,
-            notes=[f"group order {order} is not divisible by 4"])
-    solution = tiling_solve(TileInstance(order, tuple(residues)))
-    if solution is None:
-        return CircleClassification(
-            verdict="fractional_only", r=4, witness_degree=n0,
-            reduced_turns=tuple(turns), group_order=order,
-            notes=[f"Z_{order} admits no exact tiling by these shifts"])
+    best = None
+    for (i, j), (k, m) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        da, db = s[i] - s[j], s[k] - s[m]
+        if not (da.is_rational and db.is_rational):
+            continue
+        qa, qb = da.turns.denominator, db.turns.denominator
+        if qa % 2 == 0 and qa & -qa == qb & -qb:
+            n = math.lcm(qa // 2, qb // 2)
+            best = n if best is None else min(best, n)
+    return best
+
+
+def _cells(order: int, members) -> ArcSet:
+    """The arcs [a/N, (a+1)/N) of the members a of Z_N."""
     cell = Fraction(1, order)
-    arcs = ArcSet(tuple((Fraction(a, order), Fraction(a, order) + cell)
-                        for a in solution.members))
-    return CircleClassification(verdict="constructive", r=4, arcs=arcs,
-                                witness_degree=n0, reduced_turns=tuple(turns),
-                                group_order=order)
+    return ArcSet(tuple((Fraction(a, order), Fraction(a, order) + cell) for a in members))
+
+
+_REDUCTION_NOTE = ("r>=5 decision via reduction to the generated finite cyclic group; "
+                   "sound and complete for rational tuples (extension beyond the "
+                   "r<=4 closed-form analysis)")
 
 
 def classify(angles) -> CircleClassification:
-    """Dispatch to the complete r <= 4 analysis; for r >= 5, rational tuples
-    are decided exactly via the finite-cyclic-group reduction (sound and
-    complete for rational tuples, beyond the r <= 4 closed-form analysis),
-    while tuples with formal parts are honestly reported unknown."""
+    """Decide the tuple from its differences s_i to the last angle.
+
+    Rational differences generate a cyclic group Z_N, the s_i becoming
+    residues k_i.  The least cancelling degree n0 comes from the theorem for
+    the tuple's size: r <= 3 unit vectors cancel only as a rotated regular
+    r-gon, so n0 = N/r when r | N and the k_i are distinct mod r, and no
+    degree cancels otherwise (formal differences included); r = 4 is
+    ``_pairing_degree``; r >= 5 walks the divisors (``fractional_test``).  A
+    rational tuple divides the circle measurably exactly when Z_N tiles by
+    the shifts k_i, and a tiling A gives the arcs of the cells a/N, a in A:
+    A = {0, r, 2r, ...} for r <= 3, the exact-cover search for r >= 4.
+    Formal differences leave r = 4 fractional only and r >= 5 undecided.
+    """
     ang = _as_angles(angles)
     r = len(ang)
     if r < 2:
         raise ValueError("need r >= 2 angles")
-    if r == 2:
-        arcs = divide_r2(*ang)
-        if arcs is not None:
-            return CircleClassification(
-                verdict="constructive", r=2, arcs=arcs,
-                witness_degree=fractional_test(ang),
-                reduced_turns=_reduced_turns(ang))
-        if fractional_test(ang) is not None:
-            raise ArithmeticError("two-rotation tuples are constructive exactly "
-                                  "when fractionally divisible")
-        return CircleClassification(verdict="not_fractional", r=2)
-    if r == 3:
-        arcs = divide_r3(*ang)
-        if arcs is not None:
-            return CircleClassification(
-                verdict="constructive", r=3, arcs=arcs,
-                witness_degree=fractional_test(ang),
-                reduced_turns=_reduced_turns(ang))
-        if fractional_test(ang) is not None:
-            raise ArithmeticError("three-rotation tuples are constructive exactly "
-                                  "when fractionally divisible")
-        return CircleClassification(verdict="not_fractional", r=3)
+    s = [a - ang[-1] for a in ang]
+    rational = all(a.is_rational for a in s)
+    turns = tuple(a.turns for a in s)
+    order, residues = _cyclic_group_data(turns) if rational else (None, None)
+    if r <= 3:
+        if not rational or order % r or len({k % r for k in residues}) < r:
+            return CircleClassification(verdict="not_fractional", r=r)
+        return CircleClassification(verdict="constructive", r=r,
+                                    arcs=_cells(order, range(0, order, r)),
+                                    witness_degree=order // r, reduced_turns=turns)
     if r == 4:
-        return divide_r4(*ang)
-    # r >= 5
-    s = [a - ang[-1] for a in ang]
-    if all(a.is_rational for a in s):
-        note = ("r>=5 decision via reduction to the generated finite cyclic group; "
-                "sound and complete for rational tuples (extension beyond the "
-                "r<=4 closed-form analysis)")
-        n0 = fractional_test(ang)
-        if n0 is None:
-            return CircleClassification(verdict="not_fractional", r=r, notes=[note])
-        turns = [a.turns for a in s]
-        order, residues = _cyclic_group_data(turns)
-        if order % r == 0:
-            solution = tiling_solve(TileInstance(order, tuple(residues)))
-            if solution is not None:
-                cell = Fraction(1, order)
-                arcs = ArcSet(tuple((Fraction(a, order), Fraction(a, order) + cell)
-                                    for a in solution.members))
-                return CircleClassification(verdict="constructive", r=r, arcs=arcs,
-                                            witness_degree=n0,
-                                            reduced_turns=tuple(turns),
-                                            group_order=order, notes=[note])
-        return CircleClassification(verdict="fractional_only", r=r, witness_degree=n0,
-                                    reduced_turns=tuple(turns), group_order=order,
-                                    notes=[note])
-    return CircleClassification(
-        verdict="heuristic_unknown", r=r, witness_degree=fractional_test(ang),
-        notes=["r >= 5 with transcendental offsets is outside the decided range"])
-
-
-def _reduced_turns(ang: list[Angle]) -> tuple[Fraction, ...] | None:
-    s = [a - ang[-1] for a in ang]
-    if all(a.is_rational for a in s):
-        return tuple(a.turns for a in s)
-    return None
+        n0, notes = _pairing_degree(s), []
+    elif rational:
+        n0, notes = fractional_test(ang), [_REDUCTION_NOTE]
+    else:
+        return CircleClassification(
+            verdict="heuristic_unknown", r=r, witness_degree=fractional_test(ang),
+            notes=["r >= 5 with transcendental offsets is outside the decided range"])
+    if n0 is None:
+        return CircleClassification(verdict="not_fractional", r=r, notes=notes)
+    if not rational:
+        return CircleClassification(
+            verdict="fractional_only", r=r, witness_degree=n0,
+            notes=["irrational offsets force every fractional division to be "
+                   "non-measurable"])
+    if order % r == 0:
+        solution = tiling_solve(TileInstance(order, tuple(residues)))
+        if solution is not None:
+            return CircleClassification(
+                verdict="constructive", r=r, arcs=_cells(order, solution.members),
+                witness_degree=n0, reduced_turns=turns, group_order=order, notes=notes)
+    if r == 4:
+        notes = [f"group order {order} is not divisible by 4" if order % 4
+                 else f"Z_{order} admits no exact tiling by these shifts"]
+    return CircleClassification(verdict="fractional_only", r=r, witness_degree=n0,
+                                reduced_turns=turns, group_order=order, notes=notes)
 
 
 def verify_arcset(angles, arcs: ArcSet) -> bool:

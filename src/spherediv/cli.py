@@ -4,8 +4,9 @@ Every subcommand emits canonical JSON (sorted keys, rationals as "p/q"
 strings, angles in turns) with the tool version, a config echo and any seeds,
 so identical invocations are byte-identical.  Exit codes: 0 for a completed
 run (negative mathematical verdicts included), 2 for input errors, 3 for an
-exhausted resource budget, 4 for a failed internal check (a verifier or gate
-that should never fail, such as the witness residual or the Euler gate).
+exhausted resource budget (the interpreter's recursion depth included), 4 for
+a failed internal check (a verifier or gate that should never fail, such as
+the witness residual or the Euler gate).
 """
 
 from __future__ import annotations
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
         report = args.func(args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"resource budget exceeded: {exc}\n")
+        return 3
+    except RecursionError:
+        sys.stderr.write("resource budget exceeded: recursion depth\n")
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError, ZeroDivisionError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

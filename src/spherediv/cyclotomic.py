@@ -112,6 +112,25 @@ class CycloNum:
         return self._canon
 
     def is_zero(self) -> bool:
+        """Exact zero test.
+
+        When p^a exactly divides the order N and p exceeds the number of
+        terms, the sum vanishes exactly when each class of exponents mod p^a
+        vanishes on its own: zeta_N^e = zeta_N^j zeta_M^(e // p^a) for
+        j = e mod p^a and M = N / p^a, and over Q(zeta_M) the only relations
+        among the p^a-th roots of unity are sums over whole cosets of the
+        p-th roots, each of which needs p occupied classes.  The split skips
+        the p - 1 term expansion of ``canonical`` for a large prime p.
+        """
+        if self._canon is None:
+            for p, a in factorize(self.order):
+                if p > len(self.terms):
+                    pe = p ** a
+                    classes: dict[int, dict[int, Fraction]] = {}
+                    for e, c in self.terms.items():
+                        classes.setdefault(e % pe, {})[e // pe] = c
+                    return all(CycloNum(self.order // pe, cls).is_zero()
+                               for cls in classes.values())
         return not self.canonical()
 
     # -- arithmetic -----------------------------------------------------------

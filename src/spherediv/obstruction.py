@@ -7,8 +7,9 @@ square-integrable f with sum_i g_i.f = 1 a.e. has vanishing degree-n harmonic
 component.  A zero determinant yields an explicit witness: a kernel vector c
 gives F = sum_j c_j P_n(v_j . x) with sum_i g_i.F = 0, so f = 1/r + F is a
 non-constant fractional division supported at degree n.  For circle tuples
-the determinant has a closed form over roots of unity (``circle_det``) and
-is decided by the cyclotomic zero test without building L.
+the determinant has a closed form over roots of unity (``circle_det``) that
+vanishes exactly when the rotated unit vectors cancel, so the degree is
+decided by the cyclotomic zero test without building L.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .cyclotomic import CycloNum
+from .cyclotomic import CycloNum, unit_vectors_sum_is_zero
 from .gegenbauer import evaluate, gegenbauer, harmonic_dimension
 from .points import RotationTuple, validate_tuple
 from .scalars import is_zero_scalar, scalar_to_float
@@ -121,20 +122,24 @@ def _certify_one(rotations: RotationTuple, n: int) -> DegreeCertificate:
     d = rotations.dimension
     basis = build_zonal_basis(d, n)
     if rotations.mode == "circle":
+        # det L_n = det M_n |lambda_n|^2 with det M_n > 0, so the zero test
+        # of lambda_n decides the degree and circle_det only gives the value
+        if unit_vectors_sum_is_zero([n * t for t in rotations.turns]):
+            return DegreeCertificate(n, "witness_exists", "0", 0.0)
         detv = circle_det(rotations, n, basis)
-    else:
-        lm = l_matrix(d, n, rotations, basis)
-        if rotations.mode == "floating":
-            detf = float(np.linalg.det(lm))
-            # norm floored at 1: an all-tiny matrix is as singular as they
-            # come, and a bound proportional to norm^size would underflow
-            # below the determinant's own rounding noise
-            norm = max(1.0, float(np.max(np.abs(lm))) if lm.size else 0.0)
-            threshold = FLOAT_SINGULAR_COEFF * norm ** basis.size
-            status = "witness_exists" if abs(detf) <= threshold else "obstructed"
-            return DegreeCertificate(n, status, detf, detf,
-                                     note="inexact - rerun in exact mode")
-        detv = linalg.det(lm)
+        return DegreeCertificate(n, "obstructed", str(detv), scalar_to_float(detv))
+    lm = l_matrix(d, n, rotations, basis)
+    if rotations.mode == "floating":
+        detf = float(np.linalg.det(lm))
+        # norm floored at 1: an all-tiny matrix is as singular as they
+        # come, and a bound proportional to norm^size would underflow
+        # below the determinant's own rounding noise
+        norm = max(1.0, float(np.max(np.abs(lm))) if lm.size else 0.0)
+        threshold = FLOAT_SINGULAR_COEFF * norm ** basis.size
+        status = "witness_exists" if abs(detf) <= threshold else "obstructed"
+        return DegreeCertificate(n, status, detf, detf,
+                                 note="inexact - rerun in exact mode")
+    detv = linalg.det(lm)
     zero = is_zero_scalar(detv)
     det_float = 0.0 if zero else scalar_to_float(detv)
     status = "witness_exists" if zero else "obstructed"
@@ -226,12 +231,12 @@ def extract_witness(rotations: RotationTuple, n: int,
     d = rotations.dimension
     basis = build_zonal_basis(d, n)
     if rotations.mode == "circle":
-        detv = circle_det(rotations, n, basis)
-        if not detv.is_zero():
+        if not unit_vectors_sum_is_zero([n * t for t in rotations.turns]):
             raise obstructed_degree_error(n)
-        # L_n vanishes entrywise with det L_n, so the canonical kernel vector
+        # L_n vanishes entrywise with lambda_n, so the canonical kernel vector
         # keeps only the first basis point
-        coeffs = [CycloNum.from_rational(detv.order, 1), CycloNum(detv.order)]
+        order = circle_det(rotations, n, basis).order
+        coeffs = [CycloNum.from_rational(order, 1), CycloNum(order)]
     else:
         # the kernel is trivial exactly when L is nonsingular
         coeffs = linalg.kernel_vector(l_matrix(d, n, rotations, basis))

@@ -24,6 +24,8 @@ from .scalars import QuadExt, is_zero_scalar, scalar_to_float
 
 ORTHONORMALITY_TOL = 1e-10
 DETERMINANT_TOL = 1e-8
+MAX_PARAMETER_HEIGHT = 64  # coordinate height of the stereographic parameters
+MAX_PARAMETER_VECTORS = 10 ** 6  # parameter vectors one enumeration may walk
 
 
 def unit_norm_defect(point) -> Fraction:
@@ -70,7 +72,9 @@ def enumerate_points(d: int, count: int) -> list[tuple[Fraction, ...]]:
     known from the number of parameters alone.  Each image is the integer
     vector (2 b m, s - m^2) over s + m^2, for w = b / m and s = |b|^2, and its
     height is read off with integer gcds; Fractions are built only for the
-    candidates no higher than the count-th lowest.
+    candidates no higher than the count-th lowest.  BudgetExceeded is raised,
+    before any walk, when h would pass MAX_PARAMETER_HEIGHT or the parameter
+    vectors at h pass MAX_PARAMETER_VECTORS.
     """
     if d < 1 or count < 1:
         raise ValueError("need d >= 1 and count >= 1")
@@ -83,9 +87,12 @@ def enumerate_points(d: int, count: int) -> list[tuple[Fraction, ...]]:
     vals = _parameters_up_to_height(h)
     while len(vals) ** (d - 1) + 1 < target:
         h += 1
-        if h > 64:
+        if h > MAX_PARAMETER_HEIGHT:
             raise BudgetExceeded("parameter height budget exhausted")
         vals = _parameters_up_to_height(h)
+    if len(vals) ** (d - 1) > MAX_PARAMETER_VECTORS:
+        raise BudgetExceeded(f"{len(vals)}^{d - 1} parameter vectors exceed the "
+                             f"enumeration budget of {MAX_PARAMETER_VECTORS}")
     candidates = []
     for w in itertools.product(vals, repeat=d - 1):
         m = math.lcm(*(q for _, q in w))

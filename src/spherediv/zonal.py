@@ -13,7 +13,6 @@ import json
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +25,6 @@ ENUMERATION_ORDER_VERSION = 1
 DEFAULT_BUDGET_FACTOR = 10
 
 _cache: dict[tuple[int, int], "ZonalBasis"] = {}
-_cache_lock = threading.Lock()
 
 
 def dot(u, v):
@@ -229,22 +227,19 @@ def build_zonal_basis(d: int, n: int, points=None,
     if points is not None:
         return _greedy_select(d, n, points)
     key = (d, n)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
+    if key in _cache:
+        return _cache[key]
     cached = _load_disk_cache(d, n)
     if cached is None:
         nn = harmonic_dimension(d, n)
         cached = _greedy_select(d, n, enumerate_points(d, budget_factor * nn))
         _store_disk_cache(cached)
-    with _cache_lock:
-        _cache.setdefault(key, cached)
-        return _cache[key]
+    _cache[key] = cached
+    return cached
 
 
 def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
+    _cache.clear()
 
 
 def _cache_path(d: int, n: int) -> str | None:
@@ -293,7 +288,7 @@ def _store_disk_cache(basis: ZonalBasis) -> None:
     path = _cache_path(basis.d, basis.n)
     if not path:
         return
-    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:

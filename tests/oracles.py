@@ -11,8 +11,10 @@ against an explicitly tracked inverse Gram matrix, rational sphere points from
 a sorted pool of Fraction stereographic images, witness residuals from a
 loop over samples, rotations and basis points, orbit divisions from a plain
 recursive DFS over scanned permutations, Z_N tilings from a search that
-recomputes every row and image modulo N, and the circle's first cancelling
-degree from a zero test at every n in one full period.
+recomputes every row and image modulo N, the circle's first cancelling
+degree from a zero test at every n in one full period, and the circle's
+classification from a case analysis by the number of angles (congruence
+solvers for r <= 4, the divisor walk for every witness degree but r = 4).
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from spherediv.circle import Angle, parse_angle
+from spherediv.circle import (Angle, ArcSet, CircleClassification, _as_angles,
+                              fractional_test, parse_angle)
 from spherediv.cyclotomic import unit_vectors_sum_is_zero
 from spherediv.gegenbauer import (RationalPolynomial, evaluate, gegenbauer,
                                   harmonic_dimension, weighted_inner_product)
 from spherediv.errors import BudgetExceeded
 from spherediv.linalg import mat_vec, one_like, rank, zero_like
 from spherediv.scalars import is_zero_scalar, scalar_to_float
+from spherediv.tiling import TileInstance, solve as tiling_solve
 
 
 def gram_schmidt_gegenbauer(d: int, n: int) -> RationalPolynomial:
@@ -416,3 +420,231 @@ def fractional_test_by_scan(angles):
                for turns in groups.values()):
             return n
     return None
+
+
+# -- the circle's case-by-case classification ---------------------------------
+
+
+def _solve_turn_congruence(a: Fraction, c: Fraction) -> tuple[int, int] | None:
+    """Solutions n of n*a = c (mod 1) as a residue class (n0, period), or None."""
+    a, c = Fraction(a) % 1, Fraction(c) % 1
+    big_a = a.numerator * c.denominator
+    big_b = c.numerator * a.denominator
+    big_m = a.denominator * c.denominator
+    g = math.gcd(big_a, big_m)
+    if big_b % g:
+        return None
+    m = big_m // g
+    if m == 1:
+        return 0, 1
+    inv = pow((big_a // g) % m, -1, m)
+    return (big_b // g) * inv % m, m
+
+
+def _merge_congruences(first, second) -> tuple[int, int] | None:
+    if first is None or second is None:
+        return None
+    n0, p = first
+    n1, q = second
+    g = math.gcd(p, q)
+    if (n1 - n0) % g:
+        return None
+    lcm = p // g * q
+    # lift n0 to the combined class
+    k = ((n1 - n0) // g * pow(p // g, -1, q // g)) % (q // g) if q // g > 1 else 0
+    return (n0 + p * k) % lcm, lcm
+
+
+def _smallest_positive(cls: tuple[int, int] | None) -> int | None:
+    if cls is None:
+        return None
+    n0, period = cls
+    n = n0 % period
+    return n if n >= 1 else period
+
+
+def _divide_r2(t1, t2) -> ArcSet | None:
+    """Arc set whose two translates partition the circle, or None.
+
+    Exists iff the difference of the two angles generates a finite cyclic
+    subgroup of even order 2n; the set is n equally spaced arcs of length
+    1/(2n) of a turn.
+    """
+    a1, a2 = _as_angles([t1, t2])
+    delta = a1 - a2
+    if not delta.is_rational:
+        return None
+    p, q = delta.turns.numerator, delta.turns.denominator
+    if p == 0 or q % 2:
+        return None
+    n = q // 2
+    cell = Fraction(1, q)
+    return ArcSet(tuple((Fraction(j, n), Fraction(j, n) + cell) for j in range(n)))
+
+
+def _divide_r3(t1, t2, t3) -> ArcSet | None:
+    """Arc set whose three translates partition the circle, or None.
+
+    After translating the third angle to zero, a division exists iff some n
+    sends the first two angles to the two non-trivial thirds of a turn; the
+    set is n equally spaced arcs of length 1/(3n).
+    """
+    a1, a2, a3 = _as_angles([t1, t2, t3])
+    s1, s2 = a1 - a3, a2 - a3
+    if not (s1.is_rational and s2.is_rational):
+        return None
+    best = None
+    for c1, c2 in ((Fraction(1, 3), Fraction(2, 3)), (Fraction(2, 3), Fraction(1, 3))):
+        merged = _merge_congruences(_solve_turn_congruence(s1.turns, c1),
+                                    _solve_turn_congruence(s2.turns, c2))
+        n = _smallest_positive(merged)
+        if n is not None and (best is None or n < best):
+            best = n
+    if best is None:
+        return None
+    n = best
+    k1 = int(s1.turns * 3 * n) % (3 * n)
+    k2 = int(s2.turns * 3 * n) % (3 * n)
+    if math.gcd(math.gcd(k1, k2), n) != 1:
+        raise ArithmeticError("minimal n should make the residues primitive")
+    cell = Fraction(1, 3 * n)
+    return ArcSet(tuple((Fraction(j, n), Fraction(j, n) + cell) for j in range(n)))
+
+
+def _antipodal_pattern_degree(s: list[Angle]) -> int | None:
+    """Smallest n splitting the four angles into two pairs at difference 1/2."""
+    pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+    half = Fraction(1, 2)
+    best = None
+    for pair_a, pair_b in pairings:
+        da = s[pair_a[0]] - s[pair_a[1]]
+        db = s[pair_b[0]] - s[pair_b[1]]
+        if not (da.is_rational and db.is_rational):
+            continue
+        merged = _merge_congruences(_solve_turn_congruence(da.turns, half),
+                                    _solve_turn_congruence(db.turns, half))
+        n = _smallest_positive(merged)
+        if n is not None and (best is None or n < best):
+            best = n
+    return best
+
+
+def _cyclic_group_data(turns: list[Fraction]) -> tuple[int, list[int]]:
+    """Order N of the subgroup generated by the turns and their residues mod N."""
+    lcm = 1
+    for t in turns:
+        lcm = lcm * t.denominator // math.gcd(lcm, t.denominator)
+    g = lcm
+    for t in turns:
+        g = math.gcd(g, int(t * lcm))
+    order = lcm // g
+    return order, [int(t * order) % order for t in turns]
+
+
+def _divide_r4(t1, t2, t3, t4) -> CircleClassification:
+    """Complete classification for four circle rotations.
+
+    No antipodal-pairs pattern at any n: not even fractionally divisible.
+    Pattern with genuinely transcendental offsets: fractionally divisible only.
+    Otherwise the tuple reduces to a finite cyclic group Z_{4m} and measurable
+    divisibility is exactly k-divisibility of Z_{4m}, decided by exact cover;
+    a tiling lifts to arcs made of 1/(4m)-turn cells.
+    """
+    ang = _as_angles([t1, t2, t3, t4])
+    s = [a - ang[3] for a in ang]
+    n0 = _antipodal_pattern_degree(s)
+    if n0 is None:
+        return CircleClassification(verdict="not_fractional", r=4)
+    if not all(a.is_rational for a in s):
+        return CircleClassification(
+            verdict="fractional_only", r=4, witness_degree=n0,
+            notes=["irrational offsets force every fractional division to be "
+                   "non-measurable"])
+    turns = [a.turns for a in s]
+    order, residues = _cyclic_group_data(turns)
+    if order % 4:
+        return CircleClassification(
+            verdict="fractional_only", r=4, witness_degree=n0,
+            reduced_turns=tuple(turns), group_order=order,
+            notes=[f"group order {order} is not divisible by 4"])
+    solution = tiling_solve(TileInstance(order, tuple(residues)))
+    if solution is None:
+        return CircleClassification(
+            verdict="fractional_only", r=4, witness_degree=n0,
+            reduced_turns=tuple(turns), group_order=order,
+            notes=[f"Z_{order} admits no exact tiling by these shifts"])
+    cell = Fraction(1, order)
+    arcs = ArcSet(tuple((Fraction(a, order), Fraction(a, order) + cell)
+                        for a in solution.members))
+    return CircleClassification(verdict="constructive", r=4, arcs=arcs,
+                                witness_degree=n0, reduced_turns=tuple(turns),
+                                group_order=order)
+
+
+def _reduced_turns(ang: list[Angle]) -> tuple[Fraction, ...] | None:
+    s = [a - ang[-1] for a in ang]
+    if all(a.is_rational for a in s):
+        return tuple(a.turns for a in s)
+    return None
+
+
+def classify_by_cases(angles) -> CircleClassification:
+    """The circle classification case by case: congruence solvers for the
+    r = 2 and r = 3 arc sets and the r = 4 antipodal pattern, with the
+    divisor walk ``fractional_test`` for every witness degree of r <= 3 and
+    r >= 5, and the Z_N tiling reduction for rational r >= 4."""
+    ang = _as_angles(angles)
+    r = len(ang)
+    if r < 2:
+        raise ValueError("need r >= 2 angles")
+    if r == 2:
+        arcs = _divide_r2(*ang)
+        if arcs is not None:
+            return CircleClassification(
+                verdict="constructive", r=2, arcs=arcs,
+                witness_degree=fractional_test(ang),
+                reduced_turns=_reduced_turns(ang))
+        if fractional_test(ang) is not None:
+            raise ArithmeticError("two-rotation tuples are constructive exactly "
+                                  "when fractionally divisible")
+        return CircleClassification(verdict="not_fractional", r=2)
+    if r == 3:
+        arcs = _divide_r3(*ang)
+        if arcs is not None:
+            return CircleClassification(
+                verdict="constructive", r=3, arcs=arcs,
+                witness_degree=fractional_test(ang),
+                reduced_turns=_reduced_turns(ang))
+        if fractional_test(ang) is not None:
+            raise ArithmeticError("three-rotation tuples are constructive exactly "
+                                  "when fractionally divisible")
+        return CircleClassification(verdict="not_fractional", r=3)
+    if r == 4:
+        return _divide_r4(*ang)
+    # r >= 5
+    s = [a - ang[-1] for a in ang]
+    if all(a.is_rational for a in s):
+        note = ("r>=5 decision via reduction to the generated finite cyclic group; "
+                "sound and complete for rational tuples (extension beyond the "
+                "r<=4 closed-form analysis)")
+        n0 = fractional_test(ang)
+        if n0 is None:
+            return CircleClassification(verdict="not_fractional", r=r, notes=[note])
+        turns = [a.turns for a in s]
+        order, residues = _cyclic_group_data(turns)
+        if order % r == 0:
+            solution = tiling_solve(TileInstance(order, tuple(residues)))
+            if solution is not None:
+                cell = Fraction(1, order)
+                arcs = ArcSet(tuple((Fraction(a, order), Fraction(a, order) + cell)
+                                    for a in solution.members))
+                return CircleClassification(verdict="constructive", r=r, arcs=arcs,
+                                            witness_degree=n0,
+                                            reduced_turns=tuple(turns),
+                                            group_order=order, notes=[note])
+        return CircleClassification(verdict="fractional_only", r=r, witness_degree=n0,
+                                    reduced_turns=tuple(turns), group_order=order,
+                                    notes=[note])
+    return CircleClassification(
+        verdict="heuristic_unknown", r=r, witness_degree=fractional_test(ang),
+        notes=["r >= 5 with transcendental offsets is outside the decided range"])

@@ -17,8 +17,7 @@ import pytest
 
 from spherediv.actions import (common_fixed_point_test, divide_finite_orbit,
                                enumerate_group, invariant_split, orbit)
-from spherediv.circle import (Angle, classify, divide_r2, divide_r4,
-                              necessary_degrees, verify_arcset)
+from spherediv.circle import Angle, classify, necessary_degrees, verify_arcset
 from spherediv.cli import main as cli_main
 from spherediv.euler import (divisibility_obstruction, euler_check,
                              face_lattice, orbit_polytope)
@@ -158,7 +157,7 @@ def test_criterion_07_circle_r_le_4_suite():
     values = sorted({F(p, q) for q in range(1, 13) for p in range(q)})
     # r = 2: even-order law and exact arc verification
     for t in values:
-        arcs = divide_r2(t, F(0))
+        arcs = classify([t, F(0)]).arcs
         expect = t != 0 and t.denominator % 2 == 0
         assert (arcs is not None) == expect, t
         if arcs is not None:
@@ -171,7 +170,7 @@ def test_criterion_07_circle_r_le_4_suite():
     # r = 4: exhaustive sweep (verdicts are permutation-invariant)
     verdicts = {"constructive": 0, "fractional_only": 0, "not_fractional": 0}
     for t1, t2, t3 in itertools.combinations_with_replacement(values, 3):
-        c = divide_r4(t1, t2, t3, F(0))
+        c = classify([t1, t2, t3, F(0)])
         verdicts[c.verdict] += 1
         if c.verdict == "constructive":
             assert verify_arcset([t1, t2, t3, F(0)], c.arcs)
@@ -299,9 +298,7 @@ def test_criterion_11_finite_orbit_division():
 
 def test_criterion_12_lifting():
     start = time.time()
-    from spherediv.circle import divide_r3
-
-    arcs = divide_r3(F(1, 3), F(2, 3), F(0))
+    arcs = classify([F(1, 3), F(2, 3), F(0)]).arcs
     for target in (4, 6):
         desc, _ = lift_from_circle((F(1, 3), F(2, 3), F(0)), arcs, target)
         for seed in (0, 1, 2):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherediv.circle import (Angle, ArcSet, cancellation_at, classify,
-                              divide_r2, divide_r3, divide_r4, fractional_test,
-                              necessary_degrees, parse_angle, verify_arcset)
+                              fractional_test, necessary_degrees, parse_angle,
+                              verify_arcset)
 from spherediv.cyclotomic import divisors
 
-from oracles import fractional_test_by_scan
+from oracles import classify_by_cases, fractional_test_by_scan
 
 
 F = Fraction
@@ -76,6 +76,9 @@ def test_divisors_ascending():
 @pytest.mark.parametrize("angles, expected", [
     (["1/20014", "0"], 10007),  # the only cancelling divisor is a large prime
     (["1/47", "1/53", "0"], None),  # a full period of 2491 with no cancellation
+    # 75002 = -1/4 mod 100003: at order 4q the exponent lands on the top
+    # residue of 100003, which the canonical form expands into 100002 terms
+    (["75002/100003", "0"], None),
 ])
 def test_fractional_test_large_period_is_fast(angles, expected):
     start = time.perf_counter()
@@ -115,6 +118,55 @@ def test_fractional_test_matches_the_full_scan(angles):
     assert fractional_test(angles) == fractional_test_by_scan(angles)
 
 
+def _agrees_with_the_case_analysis(angles):
+    c = classify(angles)
+    assert c.to_json() == classify_by_cases(angles).to_json(), angles
+    if len(angles) <= 4:
+        # the closed-form degrees against the divisor walk
+        assert c.witness_degree == fractional_test(angles), angles
+
+
+def test_classify_matches_the_case_analysis_r2_r3():
+    values = sorted({F(p, q) for q in range(1, 13) for p in range(q)})
+    for t1 in values:
+        _agrees_with_the_case_analysis([t1, F(0)])
+        for t2 in values:
+            _agrees_with_the_case_analysis([t1, t2, F(0)])
+
+
+def test_classify_matches_the_case_analysis_r4():
+    values = sorted({F(p, q) for q in (1, 2, 3, 4, 5, 6, 8, 12) for p in range(q)})
+    for t1, t2, t3 in itertools.combinations_with_replacement(values, 3):
+        _agrees_with_the_case_analysis([t1, t2, t3, F(0)])
+
+
+@st.composite
+def common_denominator_tuples(draw):
+    """2..6 angles over one denominator q <= 30, some with a formal offset,
+    part of them as arithmetic progressions (regular m-gons when m | q), so
+    that many tuples cancel and the generated group Z_N stays small."""
+    r = draw(st.integers(2, 6))
+    q = draw(st.integers(1, 30))
+    angles = []
+    while len(angles) < r:
+        room = r - len(angles)
+        offset = draw(st.sampled_from(OFFSETS))
+        if room >= 2 and draw(st.booleans()):
+            m = draw(st.integers(2, room))
+            c = draw(st.integers(0, q - 1))
+            step = q // m if q % m == 0 else draw(st.integers(1, q))
+            angles += [f"{(c + j * step) % q}/{q}{offset}" for j in range(m)]
+        else:
+            angles.append(f"{draw(st.integers(0, q - 1))}/{q}{offset}")
+    return draw(st.permutations(angles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(angles=common_denominator_tuples())
+def test_classify_matches_the_case_analysis_with_formal_offsets(angles):
+    _agrees_with_the_case_analysis(angles)
+
+
 def test_necessary_degrees_periodic():
     degs = necessary_degrees([Angle(F(1, 3)), Angle(F(2, 3)), Angle(F(0))], 9)
     assert degs == {1, 2, 4, 5, 7, 8}
@@ -123,17 +175,17 @@ def test_necessary_degrees_periodic():
 
 
 def test_divide_r2_examples():
-    assert divide_r2("1/2", "0").arcs == ((F(0), F(1, 2)),)
-    assert divide_r2("1/4", "0").arcs == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
-    assert divide_r2("1/3", "0") is None
-    assert divide_r2("tau", "0") is None
-    assert divide_r2("0", "0") is None
+    assert classify(["1/2", "0"]).arcs.arcs == ((F(0), F(1, 2)),)
+    assert classify(["1/4", "0"]).arcs.arcs == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
+    assert classify(["1/3", "0"]).arcs is None
+    assert classify(["tau", "0"]).arcs is None
+    assert classify(["0", "0"]).arcs is None
 
 
 def test_divide_r2_even_order_law():
     values = sorted({F(p, q) for q in range(1, 25) for p in range(q)})
     for t in values:
-        arcs = divide_r2(t, F(0))
+        arcs = classify([t, F(0)]).arcs
         even_order = t != 0 and t.denominator % 2 == 0
         assert (arcs is not None) == even_order, t
         if arcs is not None:
@@ -146,18 +198,18 @@ def test_divide_r2_even_order_law():
 
 
 def test_divide_r3_examples():
-    assert divide_r3("1/3", "2/3", "0").arcs == ((F(0), F(1, 3)),)
-    ninth = divide_r3("1/9", "2/9", "0")
+    assert classify(["1/3", "2/3", "0"]).arcs.arcs == ((F(0), F(1, 3)),)
+    ninth = classify(["1/9", "2/9", "0"]).arcs
     assert ninth.arcs == ((F(0), F(1, 9)), (F(1, 3), F(4, 9)), (F(2, 3), F(7, 9)))
-    assert divide_r3("tau", "2*tau", "0") is None
-    assert divide_r3("1/2", "1/4", "0") is None
+    assert classify(["tau", "2*tau", "0"]).arcs is None
+    assert classify(["1/2", "1/4", "0"]).arcs is None
 
 
 def test_divide_r3_sweep_verifies():
     values = sorted({F(p, q) for q in range(1, 13) for p in range(q)})
     constructive = 0
     for t1, t2 in itertools.combinations_with_replacement(values, 2):
-        arcs = divide_r3(t1, t2, F(0))
+        arcs = classify([t1, t2, F(0)]).arcs
         n = fractional_test([Angle(t1), Angle(t2), Angle(F(0))])
         assert (arcs is not None) == (n is not None), (t1, t2)
         if arcs is not None:
@@ -169,21 +221,21 @@ def test_divide_r3_sweep_verifies():
 
 
 def test_divide_r4_examples():
-    c = divide_r4("1/2", "3/4", "1/4", "0")
+    c = classify(["1/2", "3/4", "1/4", "0"])
     assert c.verdict == "constructive"
     assert c.arcs.arcs == ((F(0), F(1, 4)),)
-    c = divide_r4("1/4", "1/2", "1/4", "0")
+    c = classify(["1/4", "1/2", "1/4", "0"])
     assert c.verdict == "fractional_only"
     assert c.witness_degree == 2
-    c = divide_r4("tau", "tau + 1/2", "1/2", "0")
+    c = classify(["tau", "tau + 1/2", "1/2", "0"])
     assert c.verdict == "fractional_only"
     assert c.witness_degree == 1
-    c = divide_r4("1/5", "1/7", "1/11", "0")
+    c = classify(["1/5", "1/7", "1/11", "0"])
     assert c.verdict == "not_fractional"
 
 
 def test_divide_r4_group_order_not_multiple_of_four():
-    c = divide_r4("1/2", "0", "1/2", "0")
+    c = classify(["1/2", "0", "1/2", "0"])
     assert c.verdict == "fractional_only"
     assert c.group_order == 2
 
@@ -191,7 +243,7 @@ def test_divide_r4_group_order_not_multiple_of_four():
 def test_divide_r4_smallest_degree_matches_fractional_test():
     values = sorted({F(p, q) for q in (1, 2, 3, 4, 6, 8) for p in range(q)})
     for t1, t2, t3 in itertools.combinations_with_replacement(values, 3):
-        c = divide_r4(t1, t2, t3, F(0))
+        c = classify([t1, t2, t3, F(0)])
         n = fractional_test([Angle(t1), Angle(t2), Angle(t3), Angle(F(0))])
         assert c.witness_degree == n or (c.verdict == "not_fractional" and n is None)
 
@@ -199,8 +251,8 @@ def test_divide_r4_smallest_degree_matches_fractional_test():
 def test_translation_invariance_with_formal_offset():
     base = ["1/2", "3/4", "1/4", "0"]
     shifted = [f"{t} + tau" for t in base]
-    a = divide_r4(*base)
-    b = divide_r4(*shifted)
+    a = classify(base)
+    b = classify(shifted)
     assert a.verdict == b.verdict == "constructive"
     assert a.arcs == b.arcs
 
@@ -243,5 +295,5 @@ def test_verify_arcset_examples():
 
 
 def test_arcset_json_round_trip():
-    arcs = divide_r3("1/9", "2/9", "0")
+    arcs = classify(["1/9", "2/9", "0"]).arcs
     assert ArcSet.from_json(arcs.to_json()) == arcs

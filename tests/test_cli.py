@@ -1,5 +1,8 @@
 import json
+import time
 from fractions import Fraction
+
+import pytest
 
 from spherediv import cli, linalg
 from spherediv.cli import main
@@ -418,3 +421,31 @@ def test_malformed_arc_files_are_input_errors(tmp_path, capsys):
         assert main(["circle", "verify", "--angles", "1/2,0", "--arcs", path]) == 2, data
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gegenbauer", "--dim", "3", "--degree", "3000"],
+    ["tile", "--modulus", "149460", "--shifts", "50619,28779,84694,0"],
+    ["circle", "classify", "--angles", "10/53,2/47,5/12,17/20"],
+])
+def test_recursion_depth_is_an_exhausted_budget(capsys, argv):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "resource budget exceeded: recursion depth\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["points", "--dim", "30", "--count", "1"],
+    ["basis", "--dim", "25", "--degree", "1"],
+])
+def test_high_dimension_point_enumeration_stops_at_its_budget(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("resource budget exceeded: ")
+
+
+def test_circle_classify_at_a_large_prime_is_fast(capsys):
+    start = time.perf_counter()
+    assert main(["circle", "classify", "--angles", "75002/100003,0"]) == 0
+    assert time.perf_counter() - start < 0.1
+    assert json.loads(capsys.readouterr().out)["classification"]["verdict"] == "not_fractional"

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from spherediv.circle import divide_r2, divide_r3
+from spherediv.circle import classify
 from spherediv.cli import main
 from spherediv.lifting import (BaseCircleDivision, PlaceholderDivision,
                                lift_from_circle)
@@ -158,7 +158,7 @@ def valid_descriptors(draw):
         (Fraction(1, 2), Fraction(0)), (Fraction(1, 4), Fraction(0)),
         (Fraction(1, 3), Fraction(2, 3), Fraction(0)),
         (Fraction(1, 9), Fraction(2, 9), Fraction(0))]))
-    arcs = divide_r2(*turns) if len(turns) == 2 else divide_r3(*turns)
+    arcs = classify(turns).arcs
     kind = draw(st.sampled_from(["circle", "lifted", "over_placeholder"]))
     if kind == "circle":
         desc = BaseCircleDivision(turns, arcs).to_json()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherediv.circle import ArcSet, divide_r3
+from spherediv.circle import ArcSet, classify
 from spherediv.lifting import (BaseCircleDivision, LiftedDivision,
                                PlaceholderDivision, descriptor_from_json, lift,
                                lift_from_circle, membership, verify_partition)
@@ -15,7 +15,7 @@ THIRDS = (F(1, 3), F(2, 3), F(0))
 
 
 def thirds_base():
-    return BaseCircleDivision(THIRDS, divide_r3(*THIRDS))
+    return BaseCircleDivision(THIRDS, classify(THIRDS).arcs)
 
 
 def test_lift_shapes():
@@ -46,12 +46,12 @@ def test_lift_rejects_unverified_lower():
 
 
 def test_lift_chain_to_six_dimensions():
-    desc, rot = lift_from_circle(THIRDS, divide_r3(*THIRDS), 6)
+    desc, rot = lift_from_circle(THIRDS, classify(THIRDS).arcs, 6)
     assert desc.dimension == 6
     assert isinstance(desc.lower, LiftedDivision)
     assert rot.float_matrices()[0].shape == (6, 6)
     with pytest.raises(ValueError):
-        lift_from_circle(THIRDS, divide_r3(*THIRDS), 5)
+        lift_from_circle(THIRDS, classify(THIRDS).arcs, 5)
 
 
 def test_membership_base():
@@ -149,7 +149,7 @@ def test_verify_deterministic():
 
 
 def test_descriptor_json_round_trip():
-    desc, _ = lift_from_circle(THIRDS, divide_r3(*THIRDS), 6)
+    desc, _ = lift_from_circle(THIRDS, classify(THIRDS).arcs, 6)
     again = descriptor_from_json(desc.to_json())
     assert again.dimension == 6 and again.r == 3
     assert isinstance(again.lower.lower, BaseCircleDivision)

@@ -82,6 +82,32 @@ def test_unit_vector_sums():
                                      Fraction(1, 3), Fraction(5, 6)])
 
 
+@st.composite
+def sparse_cyclo_terms(draw):
+    """(order, terms): up to nine terms at an order with a prime-power
+    factor, part of them whole regular m-gons (which vanish) and part random
+    exponents with small coefficients."""
+    order = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12])) \
+        * draw(st.sampled_from([2, 3, 5, 7, 11, 13, 101])) ** draw(st.integers(1, 2))
+    terms, size = [], draw(st.integers(0, 6))
+    while len(terms) < size:
+        m = draw(st.sampled_from([m for m in (2, 3, 4) if order % m == 0] or [1]))
+        base = draw(st.integers(0, order - 1))
+        c = Fraction(draw(st.sampled_from([-2, -1, 1, 3])))
+        if m > 1 and draw(st.booleans()):
+            terms += [(base + j * order // m, c) for j in range(m)]
+        else:
+            terms.append((base, c))
+    return order, terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sparse_cyclo_terms())
+def test_cyclo_zero_test_split_matches_canonical_form(case):
+    order, terms = case
+    assert CycloNum(order, terms).is_zero() == (not CycloNum(order, terms).canonical())
+
+
 def test_det_and_inverse_exact():
     rng = random.Random(11)
     for n in (2, 3, 4):
