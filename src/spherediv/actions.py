@@ -97,6 +97,14 @@ def evaluate_word(word: GroupWord, rotations: RotationTuple):
     return acc
 
 
+def minus_identity(m, floating: bool):
+    """w - I for a word matrix w: float entries when floating, exact otherwise."""
+    d = len(m)
+    if floating:
+        return [[float(m[i][j]) - (1.0 if i == j else 0.0) for j in range(d)] for i in range(d)]
+    return [[m[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
+
+
 def reduced_words(r: int, max_len: int):
     """All non-trivial reduced words up to the given length, shortest first."""
     alphabet = [(g, e) for g in range(1, r + 1) for e in (1, -1)]

@@ -12,6 +12,7 @@ the witness residual or the Euler gate).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .actions import common_fixed_point_test, enumerate_group, evaluate_word, \
-    orbit, parse_word
+    minus_identity, orbit, parse_word
 from .circle import ArcSet, classify, parse_angle, verify_arcset
 from .errors import BudgetExceeded
 from .euler import divisibility_obstruction, euler_check, face_lattice, \
@@ -173,16 +174,7 @@ def cmd_fixed_point_test(args) -> dict:
     rotations = _load_tuple(args.tuple, ("exact", "quad", "floating"))
     words = [parse_word(w) for w in args.words.split(",")]
     floating = rotations.mode == "floating"
-    mats = []
-    for w in words:
-        m = evaluate_word(w, rotations)
-        d = rotations.dimension
-        if floating:
-            mats.append([[float(m[i][j]) - (1.0 if i == j else 0.0)
-                          for j in range(d)] for i in range(d)])
-        else:
-            mats.append([[m[i][j] - (1 if i == j else 0) for j in range(d)]
-                         for i in range(d)])
+    mats = [minus_identity(evaluate_word(w, rotations), floating) for w in words]
     found, witness = common_fixed_point_test(mats, floating=floating)
     if witness is not None and not floating:
         witness = [str(c) for c in witness]
@@ -212,8 +204,7 @@ def cmd_lift(args) -> dict:
     if result.verdict != "constructive" or result.arcs is None:
         raise ValueError(f"base angles are not constructively divisible "
                          f"(verdict: {result.verdict})")
-    turns = result.reduced_turns
-    desc, _ = lift_from_circle(turns, result.arcs, args.target_dim)
+    desc = lift_from_circle(result.reduced_turns, result.arcs, args.target_dim)
     return _envelope(args, descriptor=desc.to_json())
 
 
@@ -253,7 +244,9 @@ def cmd_synth_generic(args) -> dict:
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="spherediv",
         description="decide, certify and construct divisibility of spheres "

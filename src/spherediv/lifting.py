@@ -9,10 +9,11 @@ explicit measurable divisions of S^3, S^5, ...; a placeholder lower descriptor
 stands in for a lower division that exists abstractly but has no evaluable
 membership (its null part is reported as such).
 
-Membership on the bulk is decided by the angle of the last two coordinates,
-kept as an exact rational turn in polar form so the decisive arc tests never
-round; only the lower-sphere direction is floating, and it never influences
-the piece when the circle block is nonzero.
+The descriptor fixes the rotations: the lower a_i on the first d-2
+coordinates, i/r of a turn on the last two.  The lower division decides only
+the null set A' and is checked when the descriptor is built or loaded;
+`verify_partition` samples the circle-block rule, which an exact rational turn
+of the last two coordinates decides, so no decisive test rounds.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .serialize import json_entry, json_int, json_list
 BOUNDARY_MARGIN = 1e-7
 MEMBERSHIP_MARGIN = 1e-9
 ANGLE_DENOMINATOR_SCALE = 10 ** 6
+GAUSS_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -119,51 +121,9 @@ def descriptor_from_json(data) -> DivisionDescriptor:
     return desc
 
 
-@dataclass
-class LiftedRotationTuple:
-    """Block description of the lifted rotations: the i-th rotation acts by the
-    lower tuple's i-th rotation on the first d-2 coordinates and by i/r of a
-    turn on the last two."""
-
-    r: int
-    dimension: int
-    lower: "DivisionDescriptor"
-
-    def circle_turn(self, i: int) -> Fraction:
-        return Fraction(i % self.r, self.r)
-
-    def lower_float_matrices(self) -> list[np.ndarray]:
-        return _lower_float_matrices(self.lower)
-
-    def float_matrices(self) -> list[np.ndarray]:
-        lowers = self.lower_float_matrices()
-        out = []
-        for i in range(1, self.r + 1):
-            m = np.zeros((self.dimension, self.dimension))
-            m[:-2, :-2] = lowers[i - 1]
-            ang = 2.0 * math.pi * float(self.circle_turn(i))
-            m[-2:, -2:] = [[math.cos(ang), -math.sin(ang)],
-                           [math.sin(ang), math.cos(ang)]]
-            out.append(m)
-        return out
-
-
-def _rotation_2x2(turn: Fraction) -> np.ndarray:
-    ang = 2.0 * math.pi * float(turn)
-    return np.array([[math.cos(ang), -math.sin(ang)],
-                     [math.sin(ang), math.cos(ang)]])
-
-
-def _lower_float_matrices(desc: DivisionDescriptor) -> list[np.ndarray]:
-    if isinstance(desc, BaseCircleDivision):
-        return [_rotation_2x2(t) for t in desc.turns]
-    if isinstance(desc, LiftedDivision):
-        return LiftedRotationTuple(desc.r, desc.dimension, desc.lower).float_matrices()
-    raise ValueError("a placeholder division has no concrete rotations")
-
-
-def lift(lower: DivisionDescriptor, r: int) -> tuple[LiftedDivision, LiftedRotationTuple]:
-    """Lift a verified division two dimensions up with block rotations.
+def lift(lower: DivisionDescriptor, r: int) -> LiftedDivision:
+    """Lift a verified division two dimensions up; the descriptor fixes the
+    block rotations (the lower i-th rotation, then i/r of a turn).
 
     The lower descriptor must carry exactly r pieces; BaseCircleDivision
     re-verifies its arc partition on construction, lifted descriptors were
@@ -173,31 +133,31 @@ def lift(lower: DivisionDescriptor, r: int) -> tuple[LiftedDivision, LiftedRotat
         raise ValueError(f"lower division has {lower.r} pieces, lift asked for {r}")
     if isinstance(lower, BaseCircleDivision) and not verify_arcset(list(lower.turns), lower.arcs):
         raise ValueError("lower circle division failed verification")
-    lifted = LiftedDivision(lower=lower, r=r, dimension=lower.dimension + 2)
-    return lifted, LiftedRotationTuple(r=r, dimension=lifted.dimension, lower=lower)
+    return LiftedDivision(lower=lower, r=r, dimension=lower.dimension + 2)
 
 
-def lift_from_circle(turns, arcs: ArcSet, target_dimension: int):
-    """Chain of lifts from a circle division up to the target dimension (even,
-    >= 4); returns (descriptor, rotation description)."""
+def lift_from_circle(turns, arcs: ArcSet, target_dimension: int) -> LiftedDivision:
+    """Chain of lifts from a circle division up to an even dimension >= 4."""
     if target_dimension < 4 or target_dimension % 2:
         raise ValueError("lifting a circle division reaches even dimensions >= 4")
     desc: DivisionDescriptor = BaseCircleDivision(tuple(Fraction(t) for t in turns), arcs)
-    rot = None
     while desc.dimension < target_dimension:
-        desc, rot = lift(desc, desc.r)
-    return desc, rot
+        desc = lift(desc, desc.r)
+    return desc
 
 
 # -- membership ---------------------------------------------------------------
 
 
+def _arc_hits(desc: BaseCircleDivision, angle: Fraction) -> list[int]:
+    """Every piece index i in [r] with angle - t_i inside the arcs; exact."""
+    return [i + 1 for i, t in enumerate(desc.turns) if desc.arcs.contains(angle - t)]
+
+
 def membership_angle(desc: BaseCircleDivision, angle: Fraction) -> int | None:
-    """Piece index i in [r] with angle - t_i inside the arcs; exact."""
-    hits = [i + 1 for i, t in enumerate(desc.turns) if desc.arcs.contains(Fraction(angle) - t)]
-    if len(hits) == 1:
-        return hits[0]
-    return None
+    """The piece index holding the angle, or None unless exactly one does."""
+    hits = _arc_hits(desc, Fraction(angle))
+    return hits[0] if len(hits) == 1 else None
 
 
 def _circle_piece(turn_angle: Fraction, r: int) -> int:
@@ -225,8 +185,7 @@ def membership(desc: DivisionDescriptor, point, margin: float = MEMBERSHIP_MARGI
             return None
         return membership_angle(desc, turn)
     if isinstance(point, tuple) and len(point) == 2 and isinstance(point[0], (Fraction, int)):
-        angle, lower_dir = point
-        return _circle_piece(Fraction(angle), desc.r)
+        return _circle_piece(Fraction(point[0]), desc.r)
     coords = [float(c) for c in point]
     if len(coords) != desc.dimension:
         raise ValueError("point dimension mismatch")
@@ -290,7 +249,9 @@ def verify_partition(desc: DivisionDescriptor, samples: int, seed: int = 0) -> P
     The circle coordinate is drawn as a uniform rational with denominator
     10^6 * r so the decisive arc tests are exact; points too close to a piece
     boundary (margin 1e-7 of a turn) or with circle block below the margin are
-    rejected, matching the null set the construction ignores.
+    rejected, matching the null set the construction ignores.  On a lifted
+    descriptor the samples test the circle-block rule; the lower division
+    decides only that null set and was checked when the descriptor was loaded.
     """
     rng = np.random.default_rng(seed)
     if isinstance(desc, PlaceholderDivision):
@@ -312,11 +273,10 @@ def _verify_base(desc: BaseCircleDivision, samples: int, rng, seed: int) -> Part
     ks = rng.integers(0, denom, size=samples)
     for k in ks:
         angle = Fraction(int(k), denom)
-        if any(_circ_dist(angle, e) < margin for e in ends):
+        if any(min((angle - e) % 1, (e - angle) % 1) < margin for e in ends):
             continue
         retained += 1
-        hits = [i + 1 for i, t in enumerate(desc.turns)
-                if desc.arcs.contains(angle - t)]
+        hits = _arc_hits(desc, angle)
         if len(hits) != 1:
             violations.append({"angle": str(angle), "pieces": hits})
         else:
@@ -327,38 +287,33 @@ def _verify_base(desc: BaseCircleDivision, samples: int, rng, seed: int) -> Part
 
 def _verify_lifted(desc: LiftedDivision, samples: int, rng, seed: int) -> PartitionReport:
     r = desc.r
-    d = desc.dimension
     denom = ANGLE_DENOMINATOR_SCALE * r
     cell = ANGLE_DENOMINATOR_SCALE  # integer width of one 1/r-turn cell
-    margin_units = 10 ** -7 * denom
-    counts = [0] * r
-    violations = []
-    retained = 0
-    gauss = rng.normal(size=(samples, d))
+    # the Gaussian block in row chunks: the same stream as one call, less memory
+    keep = np.empty(samples, dtype=bool)
+    for start in range(0, samples, GAUSS_CHUNK_ROWS):
+        gauss = rng.normal(size=(min(GAUSS_CHUNK_ROWS, samples - start), desc.dimension))
+        norm = np.linalg.norm(gauss, axis=1)
+        y_norm = np.hypot(gauss[:, -2], gauss[:, -1]) / np.maximum(norm, 1e-12)
+        keep[start:start + len(gauss)] = (norm >= 1e-12) & (y_norm >= BOUNDARY_MARGIN)
     ks = rng.integers(0, denom, size=samples)
-    for row, k in zip(gauss, ks):
-        norm = float(np.linalg.norm(row))
-        if norm < 1e-12:
-            continue
-        y_norm = math.hypot(row[-2], row[-1]) / norm
-        if y_norm < BOUNDARY_MARGIN:
-            continue
-        k = int(k)
-        dist_to_cut = min(k % cell, cell - (k % cell))
-        if dist_to_cut < margin_units:
-            continue
-        retained += 1
-        # g_i^{-1} shifts the circle angle by -i/r: membership in the piece C
-        # holds iff the shifted angle lies in the base cell [0, 1/r).
-        hits = [i for i in range(1, r + 1) if (k - i * cell) % denom < cell]
-        if len(hits) != 1:
-            violations.append({"angle": f"{k}/{denom}", "pieces": hits})
-        else:
-            counts[hits[0] - 1] += 1
-    return PartitionReport(samples_requested=samples, retained=retained,
+    ks = ks[keep & (np.minimum(ks % cell, cell - ks % cell) >= 10 ** -7 * denom)]
+    # one translate at a time, so memory stays linear in the samples for any r
+    count, piece = np.zeros((2, len(ks)), dtype=np.int64)
+    for i in range(1, r + 1):
+        inside = _in_cell(ks, i, cell, denom)
+        count += inside
+        piece[inside] = i
+    single = count == 1
+    violations = [{"angle": f"{k}/{denom}",
+                   "pieces": [i for i in range(1, r + 1) if _in_cell(k, i, cell, denom)]}
+                  for k in ks[~single].tolist()]
+    counts = np.bincount(piece[single] - 1, minlength=r).tolist()
+    return PartitionReport(samples_requested=samples, retained=len(ks),
                            violations=violations, piece_counts=counts, seed=seed)
 
 
-def _circ_dist(a: Fraction, b: Fraction) -> Fraction:
-    d = (a - b) % 1
-    return min(d, 1 - d)
+def _in_cell(k, i: int, cell: int, denom: int):
+    """Is the integer angle k (scalar or array) in g_i C?  g_i^{-1} shifts the
+    angle by -i/r, and the piece C holds it iff it lands in [0, 1/r)."""
+    return (k - i * cell) % denom < cell

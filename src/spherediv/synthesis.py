@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import common_fixed_point_test, evaluate_word, reduced_words
+from .actions import common_fixed_point_test, evaluate_word, minus_identity, \
+    reduced_words
 from .obstruction import ObstructionReport, certify_degrees
 from .points import RotationTuple, validate_tuple
 from .scalars import scalar_to_float
@@ -307,7 +308,7 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
                     if _words_equal_compose(w1, w2, rotations):
                         continue  # commuting pair: shared fixed points allowed
                     pairs_checked += 1
-                    mats = [_minus_identity(evaluate_word(w, rotations), exact)
+                    mats = [minus_identity(evaluate_word(w, rotations), floating=not exact)
                             for w in (w1, w2)]
                     found, _ = common_fixed_point_test(mats, floating=not exact)
                     if found:
@@ -337,15 +338,8 @@ def _words_equal_compose(w1, w2, rotations: RotationTuple) -> bool:
     return _words_equal(ab, ba, rotations)
 
 
-def _minus_identity(m, exact: bool):
-    d = len(m)
-    if exact:
-        return [[m[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
-    return [[float(m[i][j]) - (1.0 if i == j else 0.0) for j in range(d)] for i in range(d)]
-
-
 def _singular_minus_identity(m, exact: bool) -> bool:
-    a = _minus_identity(m, exact)
+    a = minus_identity(m, floating=not exact)
     if exact:
         from . import linalg
         from .scalars import is_zero_scalar

@@ -14,7 +14,8 @@ recursive DFS over scanned permutations, Z_N tilings from a search that
 recomputes every row and image modulo N, the circle's first cancelling
 degree from a zero test at every n in one full period, and the circle's
 classification from a case analysis by the number of angles (congruence
-solvers for r <= 4, the divisor walk for every witness degree but r = 4).
+solvers for r <= 4, the divisor walk for every witness degree but r = 4),
+and lifted partition reports from a Python loop over the samples.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from spherediv.cyclotomic import unit_vectors_sum_is_zero
 from spherediv.gegenbauer import (RationalPolynomial, evaluate, gegenbauer,
                                   harmonic_dimension, weighted_inner_product)
 from spherediv.errors import BudgetExceeded
+from spherediv.lifting import (ANGLE_DENOMINATOR_SCALE, BOUNDARY_MARGIN,
+                               PartitionReport)
 from spherediv.linalg import mat_vec, one_like, rank, zero_like
 from spherediv.scalars import is_zero_scalar, scalar_to_float
 from spherediv.tiling import TileInstance, solve as tiling_solve
@@ -648,3 +651,41 @@ def classify_by_cases(angles) -> CircleClassification:
     return CircleClassification(
         verdict="heuristic_unknown", r=r, witness_degree=fractional_test(ang),
         notes=["r >= 5 with transcendental offsets is outside the decided range"])
+
+
+def verify_lifted_by_loop(desc, samples: int, seed: int = 0) -> PartitionReport:
+    """The lifted partition check one sample at a time: the whole Gaussian
+    block, then the integer angles, three rejections and the per-translate
+    cell test."""
+    rng = np.random.default_rng(seed)
+    r = desc.r
+    d = desc.dimension
+    denom = ANGLE_DENOMINATOR_SCALE * r
+    cell = ANGLE_DENOMINATOR_SCALE  # integer width of one 1/r-turn cell
+    margin_units = 10 ** -7 * denom
+    counts = [0] * r
+    violations = []
+    retained = 0
+    gauss = rng.normal(size=(samples, d))
+    ks = rng.integers(0, denom, size=samples)
+    for row, k in zip(gauss, ks):
+        norm = float(np.linalg.norm(row))
+        if norm < 1e-12:
+            continue
+        y_norm = math.hypot(row[-2], row[-1]) / norm
+        if y_norm < BOUNDARY_MARGIN:
+            continue
+        k = int(k)
+        dist_to_cut = min(k % cell, cell - (k % cell))
+        if dist_to_cut < margin_units:
+            continue
+        retained += 1
+        # g_i^{-1} shifts the circle angle by -i/r: membership in the piece C
+        # holds iff the shifted angle lies in the base cell [0, 1/r).
+        hits = [i for i in range(1, r + 1) if (k - i * cell) % denom < cell]
+        if len(hits) != 1:
+            violations.append({"angle": f"{k}/{denom}", "pieces": hits})
+        else:
+            counts[hits[0] - 1] += 1
+    return PartitionReport(samples_requested=samples, retained=retained,
+                           violations=violations, piece_counts=counts, seed=seed)

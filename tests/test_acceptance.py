@@ -300,7 +300,7 @@ def test_criterion_12_lifting():
     start = time.time()
     arcs = classify([F(1, 3), F(2, 3), F(0)]).arcs
     for target in (4, 6):
-        desc, _ = lift_from_circle((F(1, 3), F(2, 3), F(0)), arcs, target)
+        desc = lift_from_circle((F(1, 3), F(2, 3), F(0)), arcs, target)
         for seed in (0, 1, 2):
             rep = verify_partition(desc, samples=100000, seed=seed)
             assert rep.ok, (target, seed, rep.violations[:3])

@@ -218,6 +218,10 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert outa == outb
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_missing_file_is_input_error():
     assert main(["obstruct", "--tuple", "/nonexistent/nope.json"]) == 2
 
@@ -384,6 +388,11 @@ def test_descriptor_files_are_checked_at_the_boundary(tmp_path, capsys):
              {"kind": "placeholder", "dimension": 0, "r": 2},
              {"kind": "placeholder", "dimension": 3, "r": "2"},
              {"kind": "placeholder", "dimension": True, "r": 2}]
+    # the lower division is checked at load: arcs that do not partition the
+    # circle fail under any number of lifts
+    bad_base = {**base, "arcs": [{"start": "0/1", "end": "2/5"}]}
+    lifted = {"kind": "lifted", "dimension": 4, "r": 2, "lower": bad_base}
+    cases += [lifted, {"kind": "lifted", "dimension": 6, "r": 2, "lower": lifted}]
     for data in cases:
         path = write_json(tmp_path, data)
         assert main(["verify-partition", "--desc", path, "--samples", "50"]) == 2, data

@@ -163,7 +163,7 @@ def valid_descriptors(draw):
     if kind == "circle":
         desc = BaseCircleDivision(turns, arcs).to_json()
     elif kind == "lifted":
-        desc = lift_from_circle(turns, arcs, draw(st.sampled_from([4, 6])))[0].to_json()
+        desc = lift_from_circle(turns, arcs, draw(st.sampled_from([4, 6]))).to_json()
     else:
         desc = {"kind": "lifted", "dimension": 5, "r": len(turns),
                 "lower": PlaceholderDivision(dimension=3, r=len(turns)).to_json()}

@@ -1,13 +1,14 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from spherediv.circle import ArcSet, classify
 from spherediv.lifting import (BaseCircleDivision, LiftedDivision,
                                PlaceholderDivision, descriptor_from_json, lift,
                                lift_from_circle, membership, verify_partition)
+
+from oracles import verify_lifted_by_loop
 
 F = Fraction
 
@@ -19,18 +20,10 @@ def thirds_base():
 
 
 def test_lift_shapes():
-    desc, rot = lift(thirds_base(), 3)
-    assert desc.dimension == 4 and desc.r == 3
-    assert rot.circle_turn(1) == F(1, 3)
-    assert rot.circle_turn(3) == 0
-    mats = rot.float_matrices()
-    assert len(mats) == 3 and mats[0].shape == (4, 4)
-    # third rotation: identity circle block on the last two coordinates
-    assert np.allclose(mats[2][-2:, -2:], np.eye(2))
-    # block structure: lower rotations on the first two coordinates
-    a = 2 * math.pi / 3
-    assert np.allclose(mats[0][:2, :2],
-                       [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    base = thirds_base()
+    desc = lift(base, 3)
+    assert isinstance(desc, LiftedDivision)
+    assert desc.dimension == 4 and desc.r == 3 and desc.lower is base
 
 
 def test_lift_r_mismatch():
@@ -46,10 +39,10 @@ def test_lift_rejects_unverified_lower():
 
 
 def test_lift_chain_to_six_dimensions():
-    desc, rot = lift_from_circle(THIRDS, classify(THIRDS).arcs, 6)
+    desc = lift_from_circle(THIRDS, classify(THIRDS).arcs, 6)
     assert desc.dimension == 6
     assert isinstance(desc.lower, LiftedDivision)
-    assert rot.float_matrices()[0].shape == (6, 6)
+    assert isinstance(desc.lower.lower, BaseCircleDivision)
     with pytest.raises(ValueError):
         lift_from_circle(THIRDS, classify(THIRDS).arcs, 5)
 
@@ -62,7 +55,7 @@ def test_membership_base():
 
 
 def test_membership_lifted_polar():
-    desc, _ = lift(thirds_base(), 3)
+    desc = lift(thirds_base(), 3)
     assert membership(desc, (F(1, 2), None)) == 1
     assert membership(desc, (F(1, 6), None)) == 3
     assert membership(desc, (F(7, 9), None)) == 2
@@ -71,19 +64,19 @@ def test_membership_lifted_polar():
 def test_circle_block_action_is_exact_turn_shift():
     # applying the i-th lifted rotation adds exactly i/r turns to the circle
     # coordinate, so membership shifts cyclically by i
-    desc, rot = lift(thirds_base(), 3)
+    desc = lift(thirds_base(), 3)
     r = desc.r
     angles = [F(k, 37) for k in range(37)]
     for theta in angles:
         base_piece = membership(desc, (theta, None))
         for i in range(1, r + 1):
-            shifted = (theta + rot.circle_turn(i)) % 1
+            shifted = (theta + F(i, r)) % 1
             got = membership(desc, (shifted, None))
             assert got == (base_piece + i - 1) % r + 1, (theta, i)
 
 
 def test_membership_lifted_cartesian():
-    desc, _ = lift(thirds_base(), 3)
+    desc = lift(thirds_base(), 3)
     ang = 2 * math.pi * 0.5
     p = (0.6, 0.8 * math.sin(0.0), math.cos(ang) * 0.8, math.sin(ang) * 0.8)
     # normalize: x = (0.6, 0), y = 0.8 * (cos pi, sin pi)
@@ -92,20 +85,20 @@ def test_membership_lifted_cartesian():
 
 
 def test_membership_null_circle_block_recurses():
-    desc, _ = lift(thirds_base(), 3)
+    desc = lift(thirds_base(), 3)
     ang = 2 * math.pi / 6
     p = (math.cos(ang), math.sin(ang), 0.0, 0.0)
     assert membership(desc, p) == 3  # angle 1/6 of the base division
 
 
 def test_membership_placeholder_flag():
-    desc, _ = lift(PlaceholderDivision(dimension=3, r=3), 3)
+    desc = lift(PlaceholderDivision(dimension=3, r=3), 3)
     p = (1.0, 0.0, 0.0, 0.0, 0.0)
     assert membership(desc, p) is None
 
 
 def test_membership_rejects_off_sphere():
-    desc, _ = lift(thirds_base(), 3)
+    desc = lift(thirds_base(), 3)
     with pytest.raises(ValueError):
         membership(desc, (1.0, 1.0, 1.0, 1.0))
 
@@ -127,7 +120,7 @@ def test_verify_corrupted_arcs_reports_violations():
 
 
 def test_verify_lifted_partitions():
-    desc, _ = lift(thirds_base(), 3)
+    desc = lift(thirds_base(), 3)
     rep = verify_partition(desc, samples=30000, seed=0)
     assert rep.ok and rep.retained > 29000
     # empirical measures within five standard errors of 1/3
@@ -136,20 +129,34 @@ def test_verify_lifted_partitions():
         assert abs(count / rep.retained - 1 / 3) <= 5 * se
 
 
+ORACLE_BASES = {2: (F(1, 2), F(0)), 3: THIRDS, 4: (F(1, 4), F(1, 2), F(3, 4), F(0))}
+
+
+@pytest.mark.parametrize("dim", [4, 6, 10])
+@pytest.mark.parametrize("r", sorted(ORACLE_BASES))
+def test_lifted_verifier_matches_the_sample_loop(r, dim):
+    turns = ORACLE_BASES[r]
+    desc = lift_from_circle(turns, classify(turns).arcs, dim)
+    runs = [(10 ** 4, seed) for seed in range(30)] + [(10 ** 5, 30), (10 ** 5, 31)]
+    for samples, seed in runs:
+        assert verify_partition(desc, samples, seed).to_json() == \
+            verify_lifted_by_loop(desc, samples, seed).to_json(), (samples, seed)
+
+
 def test_verify_placeholder_rejected():
     with pytest.raises(ValueError):
         verify_partition(PlaceholderDivision(dimension=3, r=3), samples=10)
 
 
 def test_verify_deterministic():
-    desc, _ = lift(thirds_base(), 3)
+    desc = lift(thirds_base(), 3)
     a = verify_partition(desc, samples=5000, seed=3)
     b = verify_partition(desc, samples=5000, seed=3)
     assert a.piece_counts == b.piece_counts and a.retained == b.retained
 
 
 def test_descriptor_json_round_trip():
-    desc, _ = lift_from_circle(THIRDS, classify(THIRDS).arcs, 6)
+    desc = lift_from_circle(THIRDS, classify(THIRDS).arcs, 6)
     again = descriptor_from_json(desc.to_json())
     assert again.dimension == 6 and again.r == 3
     assert isinstance(again.lower.lower, BaseCircleDivision)
