@@ -8,63 +8,114 @@ class (a finite invariant subset of the sphere via normalized centroids) is
 not divisible by r either, which rules out any division by r rotations
 generating the group.
 
-Facets are found by brute force over d-subsets of the vertex set with exact
-one-sided support tests; lower faces are intersections of facet vertex sets.
-Groups must be exact (Fraction or Q(sqrt(D)) entries): a face count read off
-floating support tests would be a verdict resting on rounding.
+The group permutes the vertices and the faces, and the facet search uses it
+(symmetric facet enumeration, as in Bremner, Dutour Sikirić and Schürmann,
+"Polyhedral representation conversion up to symmetries", 2009).  All
+coordinates are cleared once to integers of Z[sqrt(D)] over one common
+denominator.  For the i-th vertex orbit only d-subsets through its
+representative, with the other vertices in orbits >= i, are tested; the
+normal comes from signed (d-1)-minors and support from integer dot products
+with an exact sign, and each facet found is added with all its images.
+This is complete: a facet whose least vertex orbit is i has an image through
+that orbit's representative with every other vertex in orbits >= i, and d
+affinely independent vertices of that image, the representative among them,
+form a tested subset.  Lower faces are intersections of facet vertex sets,
+closed under the group one orbit at a time.  Groups must be exact (Fraction
+or Q(sqrt(D)) entries): a face count read off floating support tests would be
+a verdict resting on rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from . import linalg
-from .actions import act, dedup_index
-from .scalars import sign_scalar, scalar_to_float
+from .scalars import QuadExt
 
 MAX_VERTICES = 120
 
 
 @dataclass
 class OrbitPolytope:
+    """Vertices in discovery order.  ``integer_vertices[j]`` is the pair
+    (a, b) of integer tuples with vertex j = (a + b sqrt(sqrt)) / q for one
+    common q > 0 (``sqrt`` is 0 over Q, and then b is zero), and every
+    permutation sends vertex j to the image of j under one group element."""
+
     dimension: int
     vertices: list
     group_order: int
+    integer_vertices: list = field(default_factory=list, repr=False)
+    sqrt: int = 0
+    permutations: list = field(default_factory=list, repr=False)
 
 
-def _signed_basis(d: int):
-    out = []
-    for i in range(d):
-        for s in (1, -1):
-            e = [Fraction(0)] * d
-            e[i] = Fraction(s)
-            out.append(tuple(e))
+def _combine(coeffs, cols) -> list[int]:
+    """sum_k coeffs[k] * cols[k], entry by entry, for equally long integer columns."""
+    out = [0] * len(cols[0])
+    for c, col in zip(coeffs, cols):
+        if c:
+            out = [x + c * v for x, v in zip(out, col)]
     return out
+
+
+def _images(ga, gb, cols_a, cols_b, dd: int) -> list:
+    """The integer pairs of (ga + gb sqrt(dd)) . v for the points whose
+    coordinates are the columns cols_a + cols_b sqrt(dd), one a-then-b tuple
+    per point."""
+    out_a = [_combine(ra + [dd * x for x in rb], cols_a + cols_b)
+             for ra, rb in zip(ga, gb)]
+    out_b = ([_combine(ra + rb, cols_b + cols_a) for ra, rb in zip(ga, gb)]
+             if dd else cols_b)
+    return list(zip(*out_a, *out_b))
+
+
+def _columns(pts, d: int):
+    """Coordinate columns (a parts, then b parts) of integer pair vertices."""
+    return ([[p[0][k] for p in pts] for k in range(d)],
+            [[p[1][k] for p in pts] for k in range(d)])
 
 
 def orbit_polytope(group_elements, d: int) -> OrbitPolytope:
     """Images of the signed standard basis under an exact (Fraction or
-    QuadExt) group, deduplicated, with the group-invariance of the vertex set
-    verified."""
+    QuadExt) group, deduplicated, with the vertex permutation of every group
+    element; raises ArithmeticError if the vertex set is not group-invariant.
+
+    g . e_i is column i of g, so the vertices are the signed columns of the
+    elements, and one common denominator of all entries clears them all.
+    """
     mats = list(group_elements)
-    seeds = _signed_basis(d)
-    index = dedup_index("exact")
+    entries = [x for g in mats for row in g for x in row]
+    fields = {x.d for x in entries if isinstance(x, QuadExt)}
+    if len(fields) > 1:
+        raise ValueError(f"mixed quadratic fields {sorted(fields)}")
+    dd = fields.pop() if fields else 0
+    a, b, q = linalg.clear_quadratic_denominators(entries)
+    ints = [([a[k + i * d:k + i * d + d] for i in range(d)],
+             [b[k + i * d:k + i * d + d] for i in range(d)])
+            for k in range(0, len(entries), d * d)]
+    where: dict[tuple, int] = {}
     verts: list = []
-    for g in mats:
-        for v in seeds:
-            w = act(g, v)
-            if index.find(w) is None:
-                index.add(w)
-                verts.append(w)
-    for g in mats:
-        for v in verts:
-            if index.find(act(g, v)) is None:
-                raise ArithmeticError("vertex set is not group-invariant")
-    return OrbitPolytope(d, verts, len(group_elements))
+    for g, (ga, gb) in zip(mats, ints):
+        for i in range(d):
+            column = tuple(row[i] for row in ga) + tuple(row[i] for row in gb)
+            for s in (1, -1):
+                key = tuple(s * x for x in column)
+                if key not in where:
+                    where[key] = len(verts)
+                    verts.append(tuple(row[i] if s == 1 else -row[i] for row in g))
+    pairs = [(key[:d], key[d:]) for key in where]
+    # g . v carries the denominator q twice; match it against q * (a, b)
+    scaled = {tuple(q * x for x in key): j for key, j in where.items()}
+    cols_a, cols_b = _columns(pairs, d)
+    perms = []
+    for ga, gb in ints:
+        perm = tuple(scaled.get(w) for w in _images(ga, gb, cols_a, cols_b, dd))
+        if None in perm:
+            raise ArithmeticError("vertex set is not group-invariant")
+        perms.append(perm)
+    return OrbitPolytope(d, verts, len(mats), pairs, dd, perms)
 
 
 @dataclass
@@ -78,51 +129,99 @@ class FaceLattice:
         return sum((-1) ** i * c for i, c in enumerate(self.counts))
 
 
-def _affine_rank_exact(verts, subset) -> int:
-    pts = [verts[i] for i in subset]
-    base = pts[0]
-    rows = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
-    if not rows:
-        return 0
-    return linalg.rank(rows)
+def _affine_rank(verts) -> int:
+    rows = [[c - b for c, b in zip(p, verts[0])] for p in verts[1:]]
+    return linalg.rank(rows) if rows else 0
 
 
-def _facets_exact(verts, d: int) -> set[frozenset[int]]:
-    nv = len(verts)
-    facets: set[frozenset[int]] = set()
-    for combo in combinations(range(nv), d):
-        base = verts[combo[0]]
-        rows = [[verts[i][k] - base[k] for k in range(d)] for i in combo[1:]]
-        kern = linalg.nullspace(rows) if rows else []
-        if len(kern) != 1:
-            continue  # affinely dependent subset; spans less than a hyperplane
-        normal = kern[0]
-        offset = sum((n * c for n, c in zip(normal, base)),
-                     normal[0] - normal[0])
-        signs = set()
-        on_plane = []
-        for idx in range(nv):
-            val = sum((n * c for n, c in zip(normal, verts[idx])),
-                      normal[0] - normal[0]) - offset
-            s = sign_scalar(val)
-            if s == 0:
-                on_plane.append(idx)
-            else:
-                signs.add(s)
-            if len(signs) == 2:
-                break
-        if len(signs) == 2:
-            continue  # not supporting
-        facets.add(frozenset(on_plane))
-    return facets
+def _sign(x: int, y: int, dd: int) -> int:
+    """Exact sign of x + y sqrt(dd) for integers x, y."""
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or sy == 0:
+        return sx
+    if sx == 0:
+        return sy
+    return sx if x * x > dd * y * y else sy
+
+
+def _supporting_face(pts, cols, subset, dd: int) -> frozenset[int] | None:
+    """The vertices on the hyperplane through the d points of subset, if they
+    span one and it leaves every vertex on one side; None otherwise."""
+    (base_a, base_b), d = pts[subset[0]], len(subset)
+    rows_a = [[x - y for x, y in zip(pts[j][0], base_a)] for j in subset[1:]]
+    rows_b = [[x - y for x, y in zip(pts[j][1], base_b)] for j in subset[1:]]
+    na, nb = [], []
+    for col in range(d):  # the normal's entries are the signed (d-1)-minors
+        minor_a = [row[:col] + row[col + 1:] for row in rows_a]
+        if dd:
+            x, y = linalg._bareiss_quad(minor_a, [row[:col] + row[col + 1:]
+                                                  for row in rows_b], dd)
+        else:
+            x, y = linalg._bareiss(minor_a), 0
+        na.append(-x if col % 2 else x)
+        nb.append(-y if col % 2 else y)
+    if not any(na) and not any(nb):
+        return None  # affinely dependent: spans less than a hyperplane
+    cols_a, cols_b = cols
+    # normal . v = (na.va + dd nb.vb) + (na.vb + nb.va) sqrt(dd), for every v
+    xs = _combine(na + [dd * y for y in nb], cols_a + cols_b)
+    ys = _combine(na + nb, cols_b + cols_a) if dd else [0] * len(xs)
+    off_x, off_y = xs[subset[0]], ys[subset[0]]
+    on_plane, side = [], 0
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        s = _sign(x - off_x, y - off_y, dd)
+        if s == 0:
+            on_plane.append(j)
+        elif s == -side:
+            return None  # vertices on both sides: not supporting
+        else:
+            side = s
+    return frozenset(on_plane)
+
+
+def _orbit(face: frozenset[int], perms) -> set[frozenset[int]]:
+    return {frozenset(p[j] for j in face) for p in perms}
+
+
+def _facet_classes(polytope: OrbitPolytope) -> list[tuple[frozenset[int], set]]:
+    """Facet orbits as (representative, members), searched once per vertex
+    orbit through its representative."""
+    pts, perms, dd = polytope.integer_vertices, polytope.permutations, polytope.sqrt
+    n, d = len(pts), polytope.dimension
+    cols = _columns(pts, d)
+    orbit_index = [-1] * n
+    reps = []
+    for j in range(n):
+        if orbit_index[j] < 0:
+            for p in perms:
+                orbit_index[p[j]] = len(reps)
+            reps.append(j)
+    through: list[list[frozenset[int]]] = [[] for _ in range(n)]
+    classes = []
+    for i, rep in enumerate(reps):
+        later = [j for j in range(n) if orbit_index[j] >= i and j != rep]
+        for rest in combinations(later, d - 1):
+            if any(f.issuperset(rest) for f in through[rep]):
+                continue  # inside a known facet: spans it or less
+            facet = _supporting_face(pts, cols, (rep,) + rest, dd)
+            if facet is None:
+                continue
+            members = _orbit(facet, perms)
+            classes.append((facet, members))
+            for f in members:
+                for j in f:
+                    through[j].append(f)
+    return classes
 
 
 def face_lattice(polytope: OrbitPolytope) -> FaceLattice:
     """All proper faces as vertex subsets, counted per affine dimension.
 
-    Facets come from exhaustive supporting-hyperplane tests; every lower face
-    is an intersection of facet vertex sets, so the lattice is the closure of
-    the facet family under pairwise intersection.
+    Facets come from the symmetric supporting-hyperplane search; every lower
+    face is an intersection of facet vertex sets, so the lattice is the
+    closure of the facet family under intersection, found one group orbit at
+    a time.  The face lattice of a polytope is graded, so a face below the
+    facets has one dimension less than the smallest face strictly above it.
     """
     verts, d = polytope.vertices, polytope.dimension
     if d < 2:
@@ -130,26 +229,32 @@ def face_lattice(polytope: OrbitPolytope) -> FaceLattice:
     if len(verts) > MAX_VERTICES:
         raise ValueError(f"vertex count {len(verts)} exceeds the desk-scale cap "
                          f"{MAX_VERTICES}")
-    if _affine_rank_exact(verts, list(range(len(verts)))) != d:
+    if _affine_rank(verts) != d:
         raise ValueError("vertex set does not span the ambient space")
-    facets = _facets_exact(verts, d)
-    rank_of = lambda s: _affine_rank_exact(verts, sorted(s))
-    faces: set[frozenset[int]] = set(facets)
-    frontier = set(facets)
+    perms = polytope.permutations
+    classes = _facet_classes(polytope)
+    facets = [f for _, members in classes for f in members]
+    faces = set(facets)
+    frontier = classes
     while frontier:
-        new: set[frozenset[int]] = set()
-        for f in frontier:
+        # p(f) & g = p(f & p^-1(g)), so one representative per orbit suffices
+        new = []
+        for rep, _ in frontier:
             for g in facets:
-                h = f & g
-                if h and h not in faces and h not in new:
-                    new.add(h)
-        faces |= new
+                h = rep & g
+                if h and h not in faces:
+                    members = _orbit(h, perms)
+                    faces |= members
+                    new.append((h, members))
+        classes = classes + new
         frontier = new
+    dim_of: dict[frozenset[int], int] = {}
     by_dim: dict[int, list[frozenset[int]]] = {i: [] for i in range(d)}
-    for f in faces:
-        k = rank_of(f)
-        if k < d:
-            by_dim[k].append(f)
+    for rep, members in sorted(classes, key=lambda c: -len(c[0])):
+        above = [k for f, k in dim_of.items() if f > rep]
+        k = min(above) - 1 if above else d - 1
+        dim_of.update((f, k) for f in members)
+        by_dim[k].extend(members)
     for k in by_dim:
         by_dim[k].sort(key=sorted)
     counts = [len(by_dim[i]) for i in range(d)]
@@ -180,17 +285,3 @@ def divisibility_obstruction(lattice: FaceLattice, r: int):
         if c % r:
             return True, i
     return False, None
-
-
-def normalized_centroids(polytope: OrbitPolytope, faces: list[frozenset[int]]):
-    """Distinct nonzero centroids, normalized to the sphere (float check aid)."""
-    verts = polytope.vertices
-    out = []
-    for f in faces:
-        pts = np.array([[scalar_to_float(c) for c in verts[i]] for i in sorted(f)])
-        m = pts.mean(axis=0)
-        norm = np.linalg.norm(m)
-        if norm < 1e-12:
-            raise ArithmeticError("face centroid at the origin")
-        out.append(tuple((m / norm).tolist()))
-    return out

@@ -15,7 +15,9 @@ recomputes every row and image modulo N, the circle's first cancelling
 degree from a zero test at every n in one full period, and the circle's
 classification from a case analysis by the number of angles (congruence
 solvers for r <= 4, the divisor walk for every witness degree but r = 4),
-and lifted partition reports from a Python loop over the samples.
+lifted partition reports from a Python loop over the samples, and face
+lattices of orbit polytopes from an exact nullspace and sign scan over every
+d-subset of the vertices, with no use of the group.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -32,10 +35,11 @@ from spherediv.cyclotomic import unit_vectors_sum_is_zero
 from spherediv.gegenbauer import (RationalPolynomial, evaluate, gegenbauer,
                                   harmonic_dimension, weighted_inner_product)
 from spherediv.errors import BudgetExceeded
+from spherediv.euler import MAX_VERTICES, FaceLattice
 from spherediv.lifting import (ANGLE_DENOMINATOR_SCALE, BOUNDARY_MARGIN,
                                PartitionReport)
-from spherediv.linalg import mat_vec, one_like, rank, zero_like
-from spherediv.scalars import is_zero_scalar, scalar_to_float
+from spherediv.linalg import mat_vec, nullspace, one_like, rank, zero_like
+from spherediv.scalars import is_zero_scalar, scalar_to_float, sign_scalar
 from spherediv.tiling import TileInstance, solve as tiling_solve
 
 
@@ -689,3 +693,81 @@ def verify_lifted_by_loop(desc, samples: int, seed: int = 0) -> PartitionReport:
             counts[hits[0] - 1] += 1
     return PartitionReport(samples_requested=samples, retained=retained,
                            violations=violations, piece_counts=counts, seed=seed)
+
+
+def _affine_rank_by_rref(verts, subset) -> int:
+    pts = [verts[i] for i in subset]
+    base = pts[0]
+    rows = [[c - b for c, b in zip(p, base)] for p in pts[1:]]
+    if not rows:
+        return 0
+    return rank(rows)
+
+
+def _facets_by_every_subset(verts, d: int) -> set[frozenset[int]]:
+    nv = len(verts)
+    facets: set[frozenset[int]] = set()
+    for combo in combinations(range(nv), d):
+        base = verts[combo[0]]
+        rows = [[verts[i][k] - base[k] for k in range(d)] for i in combo[1:]]
+        kern = nullspace(rows) if rows else []
+        if len(kern) != 1:
+            continue  # affinely dependent subset; spans less than a hyperplane
+        normal = kern[0]
+        offset = sum((n * c for n, c in zip(normal, base)),
+                     normal[0] - normal[0])
+        signs = set()
+        on_plane = []
+        for idx in range(nv):
+            val = sum((n * c for n, c in zip(normal, verts[idx])),
+                      normal[0] - normal[0]) - offset
+            s = sign_scalar(val)
+            if s == 0:
+                on_plane.append(idx)
+            else:
+                signs.add(s)
+            if len(signs) == 2:
+                break
+        if len(signs) == 2:
+            continue  # not supporting
+        facets.add(frozenset(on_plane))
+    return facets
+
+
+def face_lattice_by_brute_force(polytope) -> FaceLattice:
+    """All proper faces as vertex subsets, counted per affine dimension.
+
+    Facets come from exhaustive supporting-hyperplane tests; every lower face
+    is an intersection of facet vertex sets, so the lattice is the closure of
+    the facet family under pairwise intersection.
+    """
+    verts, d = polytope.vertices, polytope.dimension
+    if d < 2:
+        raise ValueError(f"face lattices need dimension >= 2, got {d}")
+    if len(verts) > MAX_VERTICES:
+        raise ValueError(f"vertex count {len(verts)} exceeds the desk-scale cap "
+                         f"{MAX_VERTICES}")
+    if _affine_rank_by_rref(verts, list(range(len(verts)))) != d:
+        raise ValueError("vertex set does not span the ambient space")
+    facets = _facets_by_every_subset(verts, d)
+    rank_of = lambda s: _affine_rank_by_rref(verts, sorted(s))
+    faces: set[frozenset[int]] = set(facets)
+    frontier = set(facets)
+    while frontier:
+        new: set[frozenset[int]] = set()
+        for f in frontier:
+            for g in facets:
+                h = f & g
+                if h and h not in faces and h not in new:
+                    new.add(h)
+        faces |= new
+        frontier = new
+    by_dim: dict[int, list[frozenset[int]]] = {i: [] for i in range(d)}
+    for f in faces:
+        k = rank_of(f)
+        if k < d:
+            by_dim[k].append(f)
+    for k in by_dim:
+        by_dim[k].sort(key=sorted)
+    counts = [len(by_dim[i]) for i in range(d)]
+    return FaceLattice(dimension=d, faces=by_dim, counts=counts)

@@ -165,6 +165,30 @@ def test_euler_check_command(tmp_path, capsys):
     assert data["obstructed"] is True and data["witness_dim"] == 2
 
 
+def test_euler_check_on_the_icosahedral_group(tmp_path, capsys):
+    # (x, y, z) -> (y, z, x) and (1/2)[[1, -phi, 1/phi], [phi, 1/phi, -1],
+    # [1/phi, 1, phi]] with phi = (1 + sqrt 5)/2 and 1/phi = (-1 + sqrt 5)/2;
+    # the orbit polytope is the icosidodecahedron, with pentagonal facets
+    zero, one = ["0", "0"], ["1", "0"]
+    half, neg_half = ["1/2", "0"], ["-1/2", "0"]
+    phi, neg_phi, inv_phi = ["1/4", "1/4"], ["-1/4", "-1/4"], ["-1/4", "1/4"]
+    cycle = [[zero, one, zero], [zero, zero, one], [one, zero, zero]]
+    g = [[half, neg_phi, inv_phi], [phi, inv_phi, neg_half], [inv_phi, half, phi]]
+    path = tmp_path / "icosahedral.json"
+    path.write_text(json.dumps({"mode": "quad", "dimension": 3, "sqrt": 5,
+                                "matrices": [cycle, g]}))
+    start = time.perf_counter()
+    code, out = run(capsys, ["euler-check", "--generators", str(path), "--r", "3"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    data = json.loads(out)
+    assert data["group_order"] == 60
+    assert data["vertex_count"] == 30
+    assert data["face_counts"] == [30, 60, 32]
+    assert data["chi"] == 2
+    assert elapsed < 2.0, elapsed
+
+
 def test_lift_and_verify_partition(tmp_path, capsys):
     desc_path = tmp_path / "desc.json"
     code, out = run(capsys, ["lift", "--base-angles", "1/3,2/3,0",

@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import face_lattice_by_brute_force
 from spherediv.actions import enumerate_group
 from spherediv.euler import (FaceLattice, divisibility_obstruction, euler_check,
-                             face_lattice, normalized_centroids, orbit_polytope)
-from spherediv.linalg import mat_vec
-from spherediv.points import exact_tuple, identity_tuple, z_axis_rotation_tuple
+                             face_lattice, orbit_polytope)
+from spherediv.linalg import mat_mul, mat_vec, transpose
+from spherediv.points import (RotationTuple, cayley_rotation, exact_tuple,
+                              identity_tuple, random_skew_matrix,
+                              z_axis_rotation_tuple)
 
 F = Fraction
 
@@ -84,11 +88,100 @@ def test_face_classes_group_invariant():
 
 
 def test_centroids_distinct_and_nonzero():
-    poly = orbit_polytope(cube_group().elements, 3)
-    lat = face_lattice(poly)
-    for dim, faces in lat.faces.items():
-        cents = normalized_centroids(poly, faces)
-        assert len({tuple(round(c, 9) for c in p) for p in cents}) == len(faces)
+    # both lattices are simplicial, so the faces of one class have equally many
+    # vertices and the exact vertex-coordinate sums are the centroids up to one
+    # positive factor
+    bipyramid = enumerate_group(z_axis_rotation_tuple([F(1, 12)]), cap=20).elements
+    for elements in (cube_group().elements, bipyramid):
+        poly = orbit_polytope(elements, 3)
+        for dim, faces in face_lattice(poly).faces.items():
+            sums = {tuple(sum(c) for c in zip(*(poly.vertices[i] for i in f)))
+                    for f in faces}
+            assert len(sums) == len(faces), dim
+            assert all(any(c != 0 for c in s) for s in sums), dim
+
+
+def _assert_matches_brute_force(elements, d):
+    poly = orbit_polytope(elements, d)
+    lat, oracle = face_lattice(poly), face_lattice_by_brute_force(poly)
+    assert lat.counts == oracle.counts
+    assert lat.faces == oracle.faces
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_face_lattice_matches_brute_force_on_axis_groups(k):
+    _assert_matches_brute_force(
+        enumerate_group(z_axis_rotation_tuple([F(k, 12)]), cap=20).elements, 3)
+
+
+@pytest.mark.parametrize("ks", [(1, 4), (2, 3), (3, 6), (4, 6), (4, 8), (8, 10)])
+def test_face_lattice_matches_brute_force_on_axis_pairs(ks):
+    turns = [F(k, 12) for k in ks]
+    _assert_matches_brute_force(
+        enumerate_group(z_axis_rotation_tuple(turns), cap=20).elements, 3)
+
+
+def test_face_lattice_matches_brute_force_on_conjugate_cube_groups():
+    # conjugating by a signed permutation keeps the group but changes the
+    # generators, so the vertices are discovered in another order
+    rng = random.Random(11)
+    rz = [[F(0), F(-1), F(0)], [F(1), F(0), F(0)], [F(0), F(0), F(1)]]
+    rx = [[F(1), F(0), F(0)], [F(0), F(0), F(-1)], [F(0), F(1), F(0)]]
+    for _ in range(10):
+        perm = rng.sample(range(3), 3)
+        p = [[F(rng.choice((1, -1))) if perm[i] == j else F(0) for j in range(3)]
+             for i in range(3)]
+        gens = [mat_mul(mat_mul(p, g), transpose(p)) for g in (rz, rx)]
+        group = enumerate_group(exact_tuple(gens), cap=100)
+        assert group.order == 24
+        _assert_matches_brute_force(group.elements, 3)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_face_lattice_matches_brute_force_off_the_coordinate_axes(k):
+    # an axis group conjugated by a rational rotation: every vertex has
+    # generic coordinates, and k = 3 has both parts of Q(sqrt 3) nonzero
+    rot = cayley_rotation(random_skew_matrix(random.Random(3), 3, 3, 3))
+    turn = z_axis_rotation_tuple([F(1, k)])
+    g = mat_mul(mat_mul(rot, turn.matrices[0]), transpose(rot))
+    group = enumerate_group(RotationTuple(3, [g], turn.mode, turn.sqrt_d), cap=20)
+    assert group.order == k
+    _assert_matches_brute_force(group.elements, 3)
+
+
+@pytest.mark.parametrize("quarter", [False, True])
+def test_face_lattice_matches_brute_force_about_a_rational_axis(quarter):
+    # half and quarter turns about u = (1, 2, 2)/3: the polytopes have
+    # quadrilateral facets and vertices that are no intersection of two facets
+    u = [F(1, 3), F(2, 3), F(2, 3)]
+    cross = [[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]]
+    g = [[u[i] * u[j] + cross[i][j] if quarter else 2 * u[i] * u[j] - (i == j)
+          for j in range(3)] for i in range(3)]
+    group = enumerate_group(exact_tuple([g]), cap=10)
+    assert group.order == (4 if quarter else 2)
+    _assert_matches_brute_force(group.elements, 3)
+
+
+def test_face_lattice_matches_brute_force_on_small_and_four_dimensional_groups():
+    for d in range(2, 6):
+        _assert_matches_brute_force(identity_tuple(d, 1).matrices, d)
+    quarter = enumerate_group(z_axis_rotation_tuple([F(1, 4)], d=2), cap=10)
+    assert quarter.order == 4
+    _assert_matches_brute_force(quarter.elements, 2)
+    o, i = F(0), F(1)
+    turn12 = [[o, -i, o, o], [i, o, o, o], [o, o, i, o], [o, o, o, i]]
+    turn34 = [[i, o, o, o], [o, i, o, o], [o, o, o, -i], [o, o, i, o]]
+    group = enumerate_group(exact_tuple([turn12, turn34]), cap=100)
+    assert group.order == 16
+    _assert_matches_brute_force(group.elements, 4)
+
+
+def test_orbit_polytope_rejects_a_non_invariant_vertex_set():
+    # a third of a turn alone is not closed: it maps the column (c, s, 0) of
+    # itself to a point that is not among its signed columns
+    third = z_axis_rotation_tuple([F(1, 3)]).matrices
+    with pytest.raises(ArithmeticError):
+        orbit_polytope(third, 3)
 
 
 def test_quad_mode_lattice():
