@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclotomic import divisors, unit_vectors_sum_is_zero
+from .linalg import clear_denominators
 from .serialize import json_entry
 from .tiling import TileInstance, solve as tiling_solve
 
@@ -114,27 +117,6 @@ class ArcSet:
     def total_length(self) -> Fraction:
         return sum((b - a for a, b in self.arcs), Fraction(0))
 
-    def contains(self, x: Fraction) -> bool:
-        x = Fraction(x) % 1
-        for a, b in self.arcs:
-            if a <= x < b:
-                return True
-        return False
-
-    def translate(self, t: Fraction) -> "ArcSet":
-        t = Fraction(t) % 1
-        out = []
-        for a, b in self.arcs:
-            a, b = a + t, b + t
-            if b <= 1:
-                out.append((a, b))
-            elif a >= 1:
-                out.append((a - 1, b - 1))
-            else:
-                out.append((a, Fraction(1)))
-                out.append((Fraction(0), b - 1))
-        return ArcSet(tuple(out))
-
     def to_json(self) -> list[dict[str, str]]:
         return [{"start": f"{a.numerator}/{a.denominator}",
                  "end": f"{b.numerator}/{b.denominator}"} for a, b in self.arcs]
@@ -147,6 +129,53 @@ class ArcSet:
             raise ValueError(f"arcs must be a list of {{start, end}} objects, got {data!r}")
         return cls(tuple((json_entry(Fraction, item.get("start")),
                           json_entry(Fraction, item.get("end"))) for item in data))
+
+
+class CutTable(NamedTuple):
+    """The circle cut at the integers ``cuts`` (sorted, in [0, q)) over one
+    denominator q.  ``holders[j]`` are the pieces (1-based translate indices)
+    holding the interval from cuts[j] to the next cut; the last interval wraps
+    past 0, and with no cuts the one interval is the whole circle."""
+
+    q: int
+    cuts: tuple[int, ...]
+    holders: tuple[tuple[int, ...], ...]
+
+    def piece(self, turn, margin=0) -> int | None:
+        """The piece holding the turn, or None unless exactly one does and the
+        turn is at least ``margin`` turns from every cut; exact."""
+        x = Fraction(turn) % 1 * self.q
+        j = bisect_right(self.cuts, x) - 1
+        hits = self.holders[j]
+        if len(hits) != 1:
+            return None
+        if self.cuts:
+            after, before = self.cuts[j], self.cuts[(j + 1) % len(self.cuts)]
+            if min((x - after) % self.q, (before - x) % self.q) < margin * self.q:
+                return None
+        return hits[0]
+
+
+def arc_cuts(turns, arcs: ArcSet) -> CutTable:
+    """The cut table of the arcs translated by the rational turns.
+
+    Turns and arc ends are cleared to integers over one denominator q; every
+    translated end is a cut.  Arcs are closed on the left, so an interval
+    between two cuts is held by the translates holding its left end.
+    """
+    turns = list(turns)
+    nums, q = clear_denominators(turns + [e for arc in arcs.arcs for e in arc])
+    shifts, ends = nums[:len(turns)], nums[len(turns):]
+    starts, stops = ends[0::2], ends[1::2]
+
+    def held(x: int) -> bool:
+        j = bisect_right(starts, x) - 1
+        return j >= 0 and x < stops[j]
+
+    cuts = sorted({(e + t) % q for t in shifts for e in ends})
+    holders = tuple(tuple(i for i, t in enumerate(shifts, 1) if held((c - t) % q))
+                    for c in cuts)
+    return CutTable(q, tuple(cuts), holders or ((),))
 
 
 @dataclass
@@ -337,20 +366,9 @@ def classify(angles) -> CircleClassification:
 
 def verify_arcset(angles, arcs: ArcSet) -> bool:
     """Exact check that the translates of the arcs by the angles partition the
-    circle.  Rejects tuples with transcendental parts (no exact verification)."""
+    circle: every interval of their cut table is held exactly once.  Rejects
+    tuples with transcendental parts (no exact verification)."""
     ang = _as_angles(angles)
     if any(not a.is_rational for a in ang):
         raise ValueError("exact verification needs purely rational angles")
-    translates = [arcs.translate(a.turns) for a in ang]
-    cuts = {Fraction(0), Fraction(1)}
-    for t in translates:
-        for a, b in t.arcs:
-            cuts.add(a)
-            cuts.add(b)
-    points = sorted(cuts)
-    for lo, hi in zip(points, points[1:]):
-        mid = (lo + hi) / 2
-        count = sum(1 for t in translates if t.contains(mid))
-        if count != 1:
-            return False
-    return True
+    return all(len(hits) == 1 for hits in arc_cuts([a.turns for a in ang], arcs).holders)

@@ -14,17 +14,23 @@ coordinates, i/r of a turn on the last two.  The lower division decides only
 the null set A' and is checked when the descriptor is built or loaded;
 `verify_partition` samples the circle-block rule, which an exact rational turn
 of the last two coordinates decides, so no decisive test rounds.
+
+The circle coordinate has one cut table per descriptor: the translated arc
+ends of a circle division (`circle.arc_cuts`), or the r cells of 1/r turn of a
+lift.  `membership` reads it by bisection and `verify_partition` by integer
+thresholds over whole sample arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .circle import ArcSet, verify_arcset
+from .circle import ArcSet, CutTable, arc_cuts, verify_arcset
 from .serialize import json_entry, json_int, json_list
 
 BOUNDARY_MARGIN = 1e-7
@@ -57,6 +63,10 @@ class BaseCircleDivision:
     def dimension(self) -> int:
         return 2
 
+    @cached_property
+    def cuts(self) -> CutTable:
+        return arc_cuts(self.turns, self.arcs)
+
     def to_json(self) -> dict:
         return {"kind": "circle", "turns": [f"{t.numerator}/{t.denominator}" for t in self.turns],
                 "arcs": self.arcs.to_json()}
@@ -79,6 +89,12 @@ class LiftedDivision:
     lower: "DivisionDescriptor"
     r: int
     dimension: int
+
+    @cached_property
+    def cuts(self) -> CutTable:
+        """The r cells of 1/r turn: cell j lies in piece j, cell 0 in piece r."""
+        return CutTable(self.r, tuple(range(self.r)), ((self.r,),) + tuple(
+            (j,) for j in range(1, self.r)))
 
     def to_json(self) -> dict:
         return {"kind": "lifted", "dimension": self.dimension, "r": self.r,
@@ -149,54 +165,31 @@ def lift_from_circle(turns, arcs: ArcSet, target_dimension: int) -> LiftedDivisi
 # -- membership ---------------------------------------------------------------
 
 
-def _arc_hits(desc: BaseCircleDivision, angle: Fraction) -> list[int]:
-    """Every piece index i in [r] with angle - t_i inside the arcs; exact."""
-    return [i + 1 for i, t in enumerate(desc.turns) if desc.arcs.contains(angle - t)]
-
-
-def membership_angle(desc: BaseCircleDivision, angle: Fraction) -> int | None:
-    """The piece index holding the angle, or None unless exactly one does."""
-    hits = _arc_hits(desc, Fraction(angle))
-    return hits[0] if len(hits) == 1 else None
-
-
-def _circle_piece(turn_angle: Fraction, r: int) -> int:
-    """Unique i in [r] with angle - i/r in [0, 1/r); exact on rational turns."""
-    k = math.floor((Fraction(turn_angle) % 1) * r)
-    return r if k == 0 else k
-
-
 def membership(desc: DivisionDescriptor, point, margin: float = MEMBERSHIP_MARGIN):
     """Piece index of a point, or None for the null-set / boundary flag.
 
     Accepts Cartesian coordinates (floats, unit norm within 1e-9), an exact
     rational turn for circle descriptors, or (angle, lower_direction) pairs
-    for lifted descriptors with an exact rational angle.
+    for lifted descriptors with an exact rational angle.  Both read the
+    descriptor's cut table; a Cartesian point within ``margin`` turns of a cut
+    gets the flag.
     """
     if isinstance(desc, PlaceholderDivision):
         return None
     if isinstance(desc, BaseCircleDivision):
         if isinstance(point, (Fraction, int)):
-            return membership_angle(desc, Fraction(point))
+            return desc.cuts.piece(point)
         x, y = float(point[0]), float(point[1])
         _require_unit(x * x + y * y)
-        turn = Fraction(math.atan2(y, x) / (2.0 * math.pi)) % 1
-        if _near_arc_boundary(desc, turn, margin):
-            return None
-        return membership_angle(desc, turn)
+        return desc.cuts.piece(_turn(x, y), margin)
     if isinstance(point, tuple) and len(point) == 2 and isinstance(point[0], (Fraction, int)):
-        return _circle_piece(Fraction(point[0]), desc.r)
+        return desc.cuts.piece(point[0])
     coords = [float(c) for c in point]
     if len(coords) != desc.dimension:
         raise ValueError("point dimension mismatch")
     _require_unit(sum(c * c for c in coords))
-    y = coords[-2:]
-    y_norm = math.hypot(*y)
-    if y_norm > margin:
-        turn = Fraction(math.atan2(y[1], y[0]) / (2.0 * math.pi)) % 1
-        if _near_cell_boundary(turn, desc.r, margin):
-            return None
-        return _circle_piece(turn, desc.r)
+    if math.hypot(*coords[-2:]) > margin:
+        return desc.cuts.piece(_turn(*coords[-2:]), margin)
     x = coords[:-2]
     x_norm = math.sqrt(sum(c * c for c in x))
     if x_norm < margin:
@@ -204,21 +197,13 @@ def membership(desc: DivisionDescriptor, point, margin: float = MEMBERSHIP_MARGI
     return membership(desc.lower, [c / x_norm for c in x], margin)
 
 
+def _turn(x: float, y: float) -> Fraction:
+    return Fraction(math.atan2(y, x) / (2.0 * math.pi)) % 1
+
+
 def _require_unit(norm_sq: float) -> None:
     if abs(norm_sq - 1.0) > 1e-9:
         raise ValueError(f"point is off the sphere (|x|^2 = {norm_sq})")
-
-
-def _near_arc_boundary(desc: BaseCircleDivision, turn: Fraction, margin: float) -> bool:
-    ends = [e for t in desc.turns for arc in desc.arcs.translate(t).arcs for e in arc]
-    x = float(turn)
-    return any(min(abs(x - float(e)), 1.0 - abs(x - float(e))) < margin for e in ends)
-
-
-def _near_cell_boundary(turn: Fraction, r: int, margin: float) -> bool:
-    x = float(turn) * r
-    frac = x - math.floor(x)
-    return min(frac, 1.0 - frac) < margin * r
 
 
 # -- randomized partition verification -----------------------------------------
@@ -246,74 +231,56 @@ class PartitionReport:
 def verify_partition(desc: DivisionDescriptor, samples: int, seed: int = 0) -> PartitionReport:
     """Sample sphere points and check each lies in exactly one translated piece.
 
-    The circle coordinate is drawn as a uniform rational with denominator
-    10^6 * r so the decisive arc tests are exact; points too close to a piece
-    boundary (margin 1e-7 of a turn) or with circle block below the margin are
-    rejected, matching the null set the construction ignores.  On a lifted
-    descriptor the samples test the circle-block rule; the lower division
-    decides only that null set and was checked when the descriptor was loaded.
+    The circle coordinate is drawn as a uniform rational k / (10^6 r) and its
+    piece read off the descriptor's cut table by integer thresholds, so every
+    decisive test is exact.  Points within 10^-7 turn of a cut, or with
+    circle block below the margin, are rejected, matching the null set the
+    construction ignores.  On a lifted descriptor the samples test the
+    circle-block rule; the lower division decides only that null set and was
+    checked when the descriptor was loaded.
     """
     rng = np.random.default_rng(seed)
     if isinstance(desc, PlaceholderDivision):
         raise ValueError("placeholder divisions have no evaluable membership")
-    if isinstance(desc, BaseCircleDivision):
-        return _verify_base(desc, samples, rng, seed)
-    return _verify_lifted(desc, samples, rng, seed)
-
-
-def _verify_base(desc: BaseCircleDivision, samples: int, rng, seed: int) -> PartitionReport:
-    r = desc.r
+    r, table = desc.r, desc.cuts
     denom = ANGLE_DENOMINATOR_SCALE * r
-    margin = Fraction(1, 10 ** 7)
-    ends = sorted({(Fraction(e) + t) % 1
-                   for t in desc.turns for arc in desc.arcs.arcs for e in arc})
-    counts = [0] * r
-    violations = []
-    retained = 0
+    keep = _circle_block_kept(desc, samples, rng) if isinstance(desc, LiftedDivision) \
+        else np.ones(samples, dtype=bool)
     ks = rng.integers(0, denom, size=samples)
-    for k in ks:
-        angle = Fraction(int(k), denom)
-        if any(min((angle - e) % 1, (e - angle) % 1) < margin for e in ends):
-            continue
-        retained += 1
-        hits = _arc_hits(desc, angle)
-        if len(hits) != 1:
-            violations.append({"angle": str(angle), "pieces": hits})
-        else:
-            counts[hits[0] - 1] += 1
-    return PartitionReport(samples_requested=samples, retained=retained,
+    ks = ks[keep & ~_near_cut(ks, table, denom)]
+    # the count of cuts at or below k / denom (k >= ceil(c denom / q)) picks the
+    # interval; a count of 0 is the one wrapping past 0, the last
+    below = np.searchsorted([-(-c * denom // table.q) for c in table.cuts], ks, side="right")
+    holders = table.holders[-1:] + table.holders
+    piece = np.array([hits[0] if len(hits) == 1 else 0 for hits in holders])[below]
+    violations = [{"angle": str(Fraction(int(ks[n]), denom)), "pieces": list(holders[below[n]])}
+                  for n in np.flatnonzero(piece == 0).tolist()]
+    counts = np.bincount(piece, minlength=r + 1)[1:].tolist()
+    return PartitionReport(samples_requested=samples, retained=len(ks),
                            violations=violations, piece_counts=counts, seed=seed)
 
 
-def _verify_lifted(desc: LiftedDivision, samples: int, rng, seed: int) -> PartitionReport:
-    r = desc.r
-    denom = ANGLE_DENOMINATOR_SCALE * r
-    cell = ANGLE_DENOMINATOR_SCALE  # integer width of one 1/r-turn cell
-    # the Gaussian block in row chunks: the same stream as one call, less memory
+def _near_cut(ks, table: CutTable, denom: int):
+    """Is k / denom within 10^-7 turn of a cut c / q, that is
+    |k q - c denom| 10^7 < q denom?  Exact: each cut rejects the integers
+    lo..hi, and so do its copies one turn either side."""
+    m, q = 10 ** 7, table.q
+    band = np.array([[(c * m - q) * denom // (q * m) + 1 for c in table.cuts],
+                     [-(-(c * m + q) * denom // (q * m)) - 1 for c in table.cuts]],
+                    dtype=np.int64)
+    lo, hi = np.concatenate([band - denom, band, band + denom], axis=1)
+    # both ends grow with the cut, so the last band starting at or below k
+    # reaches furthest; the leading -1 stands for no band
+    return np.concatenate([[-1], hi])[np.searchsorted(lo, ks, side="right")] >= ks
+
+
+def _circle_block_kept(desc: LiftedDivision, samples: int, rng):
+    """Which Gaussian sphere points have a circle block of at least the margin;
+    drawn in row chunks, the same stream as one call with less memory."""
     keep = np.empty(samples, dtype=bool)
     for start in range(0, samples, GAUSS_CHUNK_ROWS):
         gauss = rng.normal(size=(min(GAUSS_CHUNK_ROWS, samples - start), desc.dimension))
         norm = np.linalg.norm(gauss, axis=1)
         y_norm = np.hypot(gauss[:, -2], gauss[:, -1]) / np.maximum(norm, 1e-12)
         keep[start:start + len(gauss)] = (norm >= 1e-12) & (y_norm >= BOUNDARY_MARGIN)
-    ks = rng.integers(0, denom, size=samples)
-    ks = ks[keep & (np.minimum(ks % cell, cell - ks % cell) >= 10 ** -7 * denom)]
-    # one translate at a time, so memory stays linear in the samples for any r
-    count, piece = np.zeros((2, len(ks)), dtype=np.int64)
-    for i in range(1, r + 1):
-        inside = _in_cell(ks, i, cell, denom)
-        count += inside
-        piece[inside] = i
-    single = count == 1
-    violations = [{"angle": f"{k}/{denom}",
-                   "pieces": [i for i in range(1, r + 1) if _in_cell(k, i, cell, denom)]}
-                  for k in ks[~single].tolist()]
-    counts = np.bincount(piece[single] - 1, minlength=r).tolist()
-    return PartitionReport(samples_requested=samples, retained=len(ks),
-                           violations=violations, piece_counts=counts, seed=seed)
-
-
-def _in_cell(k, i: int, cell: int, denom: int):
-    """Is the integer angle k (scalar or array) in g_i C?  g_i^{-1} shifts the
-    angle by -i/r, and the piece C holds it iff it lands in [0, 1/r)."""
-    return (k - i * cell) % denom < cell
+    return keep

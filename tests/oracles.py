@@ -15,7 +15,8 @@ recomputes every row and image modulo N, the circle's first cancelling
 degree from a zero test at every n in one full period, and the circle's
 classification from a case analysis by the number of angles (congruence
 solvers for r <= 4, the divisor walk for every witness degree but r = 4),
-lifted partition reports from a Python loop over the samples, and face
+circle and lifted partition reports from a Python loop over the samples,
+arc partitions from explicit translates counted at every midpoint, and face
 lattices of orbit polytopes from an exact nullspace and sign scan over every
 d-subset of the vertices, with no use of the group.
 """
@@ -689,6 +690,74 @@ def verify_lifted_by_loop(desc, samples: int, seed: int = 0) -> PartitionReport:
         hits = [i for i in range(1, r + 1) if (k - i * cell) % denom < cell]
         if len(hits) != 1:
             violations.append({"angle": f"{k}/{denom}", "pieces": hits})
+        else:
+            counts[hits[0] - 1] += 1
+    return PartitionReport(samples_requested=samples, retained=retained,
+                           violations=violations, piece_counts=counts, seed=seed)
+
+
+def _translate_arcs(arcs, t) -> list[tuple[Fraction, Fraction]]:
+    """The arcs [a, b) shifted by t turns, an arc wrapped past 1 split in two."""
+    t = Fraction(t) % 1
+    out = []
+    for a, b in arcs.arcs:
+        a, b = a + t, b + t
+        if b <= 1:
+            out.append((a, b))
+        elif a >= 1:
+            out.append((a - 1, b - 1))
+        else:
+            out += [(a, Fraction(1)), (Fraction(0), b - 1)]
+    return out
+
+
+def _arcs_contain(arcs, x) -> bool:
+    x = Fraction(x) % 1
+    return any(a <= x < b for a, b in arcs)
+
+
+def verify_arcset_by_translates(angles, arcs) -> bool:
+    """The arc partition check by explicit translates: cut [0, 1) at 0, 1 and
+    every translated arc end, and count the translates holding each midpoint."""
+    ang = _as_angles(angles)
+    if any(not a.is_rational for a in ang):
+        raise ValueError("exact verification needs purely rational angles")
+    translates = [_translate_arcs(arcs, a.turns) for a in ang]
+    cuts = {Fraction(0), Fraction(1)}
+    for t in translates:
+        for a, b in t:
+            cuts.add(a)
+            cuts.add(b)
+    points = sorted(cuts)
+    for lo, hi in zip(points, points[1:]):
+        mid = (lo + hi) / 2
+        if sum(1 for t in translates if _arcs_contain(t, mid)) != 1:
+            return False
+    return True
+
+
+def verify_base_by_loop(desc, samples: int, seed: int = 0) -> PartitionReport:
+    """The circle partition check one Fraction sample at a time, with an exact
+    distance to every translated arc end and an arc test per translate."""
+    rng = np.random.default_rng(seed)
+    r = desc.r
+    denom = ANGLE_DENOMINATOR_SCALE * r
+    margin = Fraction(1, 10 ** 7)
+    ends = sorted({(Fraction(e) + t) % 1
+                   for t in desc.turns for arc in desc.arcs.arcs for e in arc})
+    counts = [0] * r
+    violations = []
+    retained = 0
+    ks = rng.integers(0, denom, size=samples)
+    for k in ks:
+        angle = Fraction(int(k), denom)
+        if any(min((angle - e) % 1, (e - angle) % 1) < margin for e in ends):
+            continue
+        retained += 1
+        hits = [i + 1 for i, t in enumerate(desc.turns)
+                if _arcs_contain(desc.arcs.arcs, angle - t)]
+        if len(hits) != 1:
+            violations.append({"angle": str(angle), "pieces": hits})
         else:
             counts[hits[0] - 1] += 1
     return PartitionReport(samples_requested=samples, retained=retained,

@@ -1,16 +1,18 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherediv.circle import (Angle, ArcSet, cancellation_at, classify,
-                              fractional_test, necessary_degrees, parse_angle,
-                              verify_arcset)
+from spherediv.circle import (Angle, ArcSet, CutTable, arc_cuts, cancellation_at,
+                              classify, fractional_test, necessary_degrees,
+                              parse_angle, verify_arcset)
 from spherediv.cyclotomic import divisors
 
-from oracles import classify_by_cases, fractional_test_by_scan
+from oracles import (classify_by_cases, fractional_test_by_scan,
+                     verify_arcset_by_translates)
 
 
 F = Fraction
@@ -47,11 +49,66 @@ def test_arcset_invariants():
         ArcSet(((F(1, 2), F(5, 4)),))  # outside the unit turn
 
 
-def test_arcset_translate_wraps():
+def test_arc_cuts_wrap_past_one():
     arcs = ArcSet(((F(3, 4), F(1)),))
-    assert arcs.translate(F(1, 2)).arcs == ((F(1, 4), F(1, 2)),)
-    # crossing the origin splits the arc
-    assert arcs.translate(F(1, 8)).arcs == ((F(0), F(1, 8)), (F(7, 8), F(1)))
+    assert arc_cuts([F(1, 2)], arcs) == CutTable(4, (1, 2), ((1,), ()))
+    # [3/4, 1) shifted by 1/8 holds [7/8, 1) and [0, 1/8): one interval
+    # across the origin, which is no cut
+    table = arc_cuts([F(1, 8)], arcs)
+    assert table == CutTable(8, (1, 7), ((), (1,)))
+    for turn in (F(7, 8), F(15, 16), F(0), F(1, 16)):
+        assert table.piece(turn) == 1
+    for turn in (F(1, 8), F(1, 2), F(7, 8) - F(1, 10 ** 9)):
+        assert table.piece(turn) is None
+
+
+def test_arc_cuts_without_arcs_hold_nothing():
+    table = arc_cuts([F(1, 2), F(0)], ArcSet(()))
+    assert table.cuts == () and table.holders == ((),)
+    assert table.piece(F(1, 3)) is None
+    assert not verify_arcset(["1/2", "0"], ArcSet(()))
+
+
+def test_cut_table_margin_flags_points_near_a_cut():
+    table = arc_cuts([F(1, 2), F(0)], ArcSet(((F(0), F(1, 2)),)))
+    assert table.piece(F(1, 4), margin=F(1, 5)) == 2
+    assert table.piece(F(1, 4), margin=F(1, 3)) is None
+    assert table.piece(F(1, 2) - F(1, 10 ** 9), margin=1e-9) is None
+    assert table.piece(F(1, 2) - F(2, 10 ** 9), margin=1e-9) == 2
+    assert table.piece(F(1) - F(1, 10 ** 10), margin=1e-9) is None
+
+
+def _random_division(rng):
+    """Turns and arcs: a partition of Z_{rm} into the cells of one residue
+    per class mod m shifted by multiples of m, often with one turn or one
+    cell changed, or random arcs and turns (a few with no arcs at all)."""
+    if rng.random() < 0.2:
+        q = rng.choice((2, 3, 4, 6, 8, 12, 30, 97))
+        ends = sorted(rng.sample(range(q + 1), 2 * rng.randrange(0, min(4, q // 2 + 1))))
+        arcs = [(F(a, q), F(b, q)) for a, b in zip(ends[::2], ends[1::2])]
+        p = rng.choice((2, 3, 5, 8, 12))
+        return [F(rng.randrange(p), p) for _ in range(rng.randrange(1, 5))], ArcSet(tuple(arcs))
+    r, m = rng.randrange(1, 5), rng.randrange(1, 7)
+    q = r * m
+    members = sorted(a + m * rng.randrange(r) for a in range(m))
+    turns = [F(m * k, q) for k in range(r)]
+    if rng.random() < 0.5:
+        turns[rng.randrange(r)] += F(rng.randrange(1, 2 * q), 2 * q)
+    if rng.random() < 0.3:
+        members.pop(rng.randrange(m))
+    rng.shuffle(turns)
+    return turns, ArcSet(tuple((F(a, q), F(a + 1, q)) for a in members))
+
+
+def test_verify_arcset_matches_the_translate_oracle():
+    rng = random.Random(14)
+    verdicts = set()
+    for _ in range(3000):
+        turns, arcs = _random_division(rng)
+        got = verify_arcset(turns, arcs)
+        assert got == verify_arcset_by_translates(turns, arcs), (turns, arcs)
+        verdicts.add((got, not arcs.arcs))
+    assert verdicts == {(True, False), (False, False), (False, True)}
 
 
 def test_fractional_test_examples():
