@@ -1,10 +1,11 @@
 """Words, orbits and finite structure of the group generated by a tuple.
 
 Covers word evaluation in the generators (inverse = transpose), the exact
-common-fixed-point criterion det(sum A_i^T A_i) = 0, breadth-first orbit and
-group closure with caps, splitting R^d into the span of a finite orbit and its
-complement (both invariant), the factorial bound on orbit sizes inside the
-span, and exact-cover division of a single finite orbit.
+common-fixed-point criterion det(sum A_i^T A_i) = 0, one breadth-first closure
+with caps that records the index of every image, finite groups as permutation
+groups of the orbit of the signed basis in Z[sqrt D] integers, splitting R^d
+into the span of a finite orbit and its complement (both invariant), and
+exact-cover division of a single finite orbit.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import linalg
 from .points import RotationTuple
 from .tiling import DEFAULT_NODE_BUDGET, exact_cover
-from .scalars import is_zero_scalar, scalar_to_float
+from .scalars import is_zero_scalar
 
 FLOAT_DEDUP_TOL = 1e-8
 FLOAT_SINGULAR_COEFF = 1e-8
@@ -169,12 +170,12 @@ def common_fixed_point_test(matrices, floating: bool = False):
 
 
 class _FloatIndex:
-    """Tolerance index of float points, or of matrices through ``np.ravel``.
+    """Tolerance index of float points.
 
-    Items are bucketed by their projection onto a fixed generic direction w;
-    two items within 4 * tol in the max norm project less than one bucket
-    width apart, so a lookup probes three buckets whatever the length of the
-    items, and items farther apart than 4 * tol are never matched.
+    Points are bucketed by their projection onto a fixed generic direction w;
+    two points within 4 * tol in the max norm project less than one bucket
+    width apart, so a lookup probes three buckets whatever the dimension, and
+    points farther apart than 4 * tol are never matched.
     """
 
     def __init__(self, tol: float = FLOAT_DEDUP_TOL):
@@ -194,8 +195,7 @@ class _FloatIndex:
                              "overflowing coordinates")
         return math.floor(position)
 
-    def find(self, x) -> int | None:
-        v = np.ravel(x)
+    def find(self, v) -> int | None:
         b = self._bucket(v)
         for key in (b, b - 1, b + 1):
             for idx in self.buckets.get(key, ()):
@@ -203,8 +203,7 @@ class _FloatIndex:
                     return idx
         return None
 
-    def add(self, x) -> int:
-        v = np.ravel(x)
+    def add(self, v) -> int:
         idx = len(self.items)
         self.items.append(v)
         self.buckets.setdefault(self._bucket(v), []).append(idx)
@@ -212,42 +211,70 @@ class _FloatIndex:
 
 
 class _ExactIndex:
-    """Index of exact points (tuples) by equality; a matrix (a list of rows)
-    is keyed as a tuple of row tuples."""
+    """Index of exact, hashable items (tuples) by equality."""
 
     def __init__(self):
         self.where: dict[tuple, int] = {}
-        self.size = 0
-
-    @staticmethod
-    def _key(x) -> tuple:
-        return x if isinstance(x, tuple) else tuple(map(tuple, x))
 
     def find(self, x) -> int | None:
-        return self.where.get(self._key(x))
+        return self.where.get(x)
 
     def add(self, x) -> int:
-        idx = self.size
-        self.where[self._key(x)] = idx
-        self.size += 1
+        idx = len(self.where)
+        self.where[x] = idx
         return idx
 
 
-def dedup_index(mode: str):
-    """Empty index (``find``/``add``) for points or matrices of the given mode:
-    within tolerance for "floating", by exact equality otherwise."""
-    return _FloatIndex() if mode == "floating" else _ExactIndex()
+def _closure(starts, moves, index, cap: int):
+    """Breadth-first closure of distinct starts under the moves, deduplicated
+    by index: (items in discovery order, images, complete), where images[k][i]
+    is the index of moves[k](items[i]) for every item processed; incomplete
+    once more than cap items are known."""
+    queue = list(starts)
+    for x in queue:
+        index.add(x)
+    images: list[list[int]] = [[] for _ in moves]
+    head = 0
+    while head < len(queue):
+        if len(queue) > cap:
+            return queue, images, False
+        x = queue[head]
+        head += 1
+        for move, row in zip(moves, images):
+            y = move(x)
+            j = index.find(y)
+            if j is None:
+                j = index.add(y)
+                queue.append(y)
+            row.append(j)
+    return queue, images, True
 
 
-def native(items, mode: str) -> list:
-    """Matrices or points in the arithmetic of the mode: float arrays for
-    "floating", unchanged otherwise."""
-    if mode == "floating":
-        return [np.array(x, dtype=float) for x in items]
-    return list(items)
+@dataclass
+class OrbitReport:
+    """Orbit points in discovery order; for a finite orbit ``images[k][j]`` is
+    the index of the k-th move (the generators, then their inverses) applied
+    to point j."""
+
+    start: tuple
+    points: list
+    finite: bool
+    cap: int
+    mode: str
+    images: list = field(default_factory=list, repr=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.points)
 
 
-def act(m, v):
+def _generators(rotations: RotationTuple) -> list:
+    """The generator matrices followed by their inverses."""
+    return list(rotations.matrices) + [rotations.inverse_matrix(i)
+                                       for i in range(rotations.r)]
+
+
+def _act(m, v):
     """The point m . v: a float array for a float matrix, an exact tuple
     otherwise."""
     if isinstance(m, np.ndarray):
@@ -255,87 +282,102 @@ def act(m, v):
     return tuple(linalg.mat_vec(m, list(v)))
 
 
-def _plain(x):
-    return x.tolist() if isinstance(x, np.ndarray) else x
-
-
-def _generators(rotations: RotationTuple) -> list:
-    """The generators followed by their inverses."""
-    inverses = [rotations.inverse_matrix(i) for i in range(rotations.r)]
-    return native(list(rotations.matrices) + inverses, rotations.mode)
-
-
-def _closure(start, moves, index, cap: int):
-    """Breadth-first closure of start under the moves, deduplicated by index:
-    (items in discovery order, complete); incomplete once more than cap items
-    are known."""
-    index.add(start)
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        if len(queue) > cap:
-            return queue, False
-        x = queue[head]
-        head += 1
-        for move in moves:
-            y = move(x)
-            if index.find(y) is None:
-                index.add(y)
-                queue.append(y)
-    return queue, True
-
-
-@dataclass
-class OrbitReport:
-    start: tuple
-    points: list
-    finite: bool
-    cap: int
-    mode: str
-
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
-
 def orbit(start, rotations: RotationTuple, cap: int = 10 ** 4) -> OrbitReport:
-    """Breadth-first closure of a point under the generators and inverses."""
+    """Breadth-first closure of a point under the generators and inverses,
+    within tolerance (floating) or exactly (other modes)."""
     if len(start) != rotations.dimension:
         raise ValueError(f"the start point has {len(start)} coordinates, the tuple "
                          f"has dimension {rotations.dimension}")
+    mats = _generators(rotations)
     if rotations.mode == "floating":
         v0 = np.array([float(c) for c in start], dtype=float)
+        mats, index = [np.array(m, dtype=float) for m in mats], _FloatIndex()
     else:
         v0 = tuple(Fraction(c) if isinstance(c, (int, Fraction)) else c for c in start)
-    moves = [functools.partial(act, m) for m in _generators(rotations)]
-    points, finite = _closure(v0, moves, dedup_index(rotations.mode), cap)
-    return OrbitReport(tuple(_plain(v0)), [_plain(p) for p in points], finite, cap,
-                       rotations.mode)
+        index = _ExactIndex()
+    moves = [functools.partial(_act, m) for m in mats]
+    points, images, finite = _closure([v0], moves, index, cap)
+    if rotations.mode == "floating":
+        v0, points = v0.tolist(), [p.tolist() for p in points]
+    return OrbitReport(tuple(v0), points, finite, cap, rotations.mode, images)
 
 
 @dataclass
 class GroupEnumeration:
+    """A finite rotation group as the permutation group of the points
+    V = G . {+-e_1, ..., +-e_d}, which it permutes faithfully.
+
+    ``points[j]`` is the primitive integer triple (a, b, den), den > 0, of
+    point j = (a + b sqrt(sqrt)) / den (``sqrt`` is 0 over Q, and then b is
+    zero); each element is the tuple of the indices of its images of the
+    points, in breadth-first order from the identity.
+    """
+
     elements: list
     complete: bool
     cap: int
+    dimension: int
+    points: list = field(repr=False)
+    sqrt: int
 
     @property
     def order(self) -> int | None:
         return len(self.elements) if self.complete else None
 
 
-def enumerate_group(rotations: RotationTuple, cap: int = 10 ** 4) -> GroupEnumeration:
-    """Closure of the generators under multiplication, deduplicated exactly
-    (exact modes) or within tolerance (floating)."""
-    d = rotations.dimension
-    if rotations.mode == "floating":
-        ident, product = np.eye(d), np.matmul
+def _integer_image(ga, gb, q: int, dd: int, point):
+    """The primitive triple of g . v for g = (ga + gb sqrt(dd)) / q and the
+    point v given by its primitive triple."""
+    a, b, den = point
+    if dd:
+        na = [sum(x * y for x, y in zip(ra, a)) + dd * sum(x * y for x, y in zip(rb, b))
+              for ra, rb in zip(ga, gb)]
+        nb = [sum(x * y for x, y in zip(ra, b)) + sum(x * y for x, y in zip(rb, a))
+              for ra, rb in zip(ga, gb)]
     else:
-        ident = linalg.identity_matrix(d, like=rotations.matrices[0][0][0])
-        product = linalg.mat_mul
-    moves = [functools.partial(product, g) for g in _generators(rotations)]
-    elements, complete = _closure(ident, moves, dedup_index(rotations.mode), cap)
-    return GroupEnumeration([_plain(m) for m in elements], complete, cap)
+        na, nb = [sum(x * y for x, y in zip(ra, a)) for ra in ga], b
+    den *= q
+    g = math.gcd(den, *na, *nb)
+    return tuple(x // g for x in na), tuple(x // g for x in nb), den // g
+
+
+def _compose(g: tuple, p: tuple) -> tuple:
+    """The permutation g o p."""
+    return tuple([g[i] for i in p])
+
+
+def enumerate_group(rotations: RotationTuple, cap: int = 10 ** 4) -> GroupEnumeration:
+    """The group generated by an exact or quad tuple, closed at most cap
+    elements deep.
+
+    The generators and their transposes are cleared once to integer matrices
+    over Z[sqrt D] with one denominator; the signed basis vectors are closed
+    under them as primitive integer triples, which records each generator's
+    permutation of the points (past 2d * cap points the group has more than
+    cap elements), and those permutations are closed under composition.
+    """
+    if rotations.mode not in ("exact", "quad"):
+        raise ValueError(f"group enumeration needs an exact or quad tuple, "
+                         f"got a {rotations.mode} one")
+    d = rotations.dimension
+    dd = rotations.sqrt_d or 0
+    mats = _generators(rotations)
+    a, b, q = linalg.clear_quadratic_denominators(
+        [x for m in mats for row in m for x in row])
+    moves = [functools.partial(_integer_image,
+                               [a[k + i * d:k + i * d + d] for i in range(d)],
+                               [b[k + i * d:k + i * d + d] for i in range(d)], q, dd)
+             for k in range(0, len(a), d * d)]
+    zero = (0,) * d
+    starts = [(tuple(s * (i == j) for i in range(d)), zero, 1)
+              for j in range(d) for s in (1, -1)]
+    points, images, complete = _closure(starts, moves, _ExactIndex(), 2 * d * cap)
+    if not complete:
+        return GroupEnumeration([], False, cap, d, points, dd)
+    moves = [functools.partial(_compose, tuple(row)) for row in images]
+    elements, _, complete = _closure([tuple(range(len(points)))], moves,
+                                     _ExactIndex(), cap)
+    return GroupEnumeration(elements, complete, cap, d, points, dd)
 
 
 # -- invariant splitting ---------------------------------------------------------
@@ -412,79 +454,27 @@ def invariant_split(report: OrbitReport, rotations: RotationTuple) -> InvariantS
                           complement_blocks=comp_blocks, mode=mode)
 
 
-@dataclass
-class OrbitBoundReport:
-    samples: int
-    bound: int
-    max_observed: int
-    ok: bool
-    sizes: list = field(default_factory=list)
-
-
-def orbit_size_bound_check(split: InvariantSplit, rotations: RotationTuple,
-                           samples: int = 20, seed: int = 0) -> OrbitBoundReport:
-    """Sample unit vectors in the orbit span and check every orbit there has at
-    most n! points, n the size of the base orbit."""
-    bound = math.factorial(split.orbit_size)
-    basis = np.array([[scalar_to_float(c) for c in v] for v in split.span_basis])
-    rng = np.random.default_rng(seed)
-    float_rotations = RotationTuple(
-        dimension=rotations.dimension,
-        matrices=[[[scalar_to_float(x) for x in row] for row in m]
-                  for m in rotations.matrices],
-        mode="floating")
-    sizes = []
-    for _ in range(samples):
-        coeff = rng.normal(size=len(basis))
-        v = coeff @ basis
-        norm = np.linalg.norm(v)
-        if norm < 1e-9:
-            continue
-        rep = orbit(tuple((v / norm).tolist()), float_rotations, cap=bound + 1)
-        sizes.append(rep.size if rep.finite else bound + 1)
-    max_seen = max(sizes) if sizes else 0
-    return OrbitBoundReport(samples=len(sizes), bound=bound, max_observed=max_seen,
-                            ok=max_seen <= bound, sizes=sizes)
-
-
 # -- dividing a finite orbit ------------------------------------------------------
-
-
-def _orbit_permutations(report: OrbitReport, rotations: RotationTuple):
-    """For each generator, the permutation j -> index of g_i . p_j."""
-    index = dedup_index(rotations.mode)
-    points = native(report.points, rotations.mode)
-    for p in points:
-        index.add(p)
-    perms = []
-    for m in native(rotations.matrices, rotations.mode):
-        perm = []
-        for p in points:
-            j = index.find(act(m, p))
-            if j is None:
-                raise ArithmeticError("orbit is not closed under a generator")
-            perm.append(j)
-        perms.append(perm)
-    return perms
 
 
 def divide_finite_orbit(report: OrbitReport, rotations: RotationTuple):
     """Subset A of the orbit whose generator translates partition it, or None.
 
-    An exact cover of the orbit by the rows a -> {g_i . p_a}, solved by the
-    tiling engine: always cover the smallest-index uncovered point (indices in
-    breadth-first discovery order), candidates in increasing order.  A row
-    whose images repeat a point is never chosen.  Raises BudgetExceeded past
-    the default node budget.
+    An exact cover of the orbit by the rows a -> {g_i . p_a}, read off the
+    images the orbit closure recorded and solved by the tiling engine: always
+    cover the smallest-index uncovered point (indices in breadth-first
+    discovery order), candidates in increasing order.  A row whose images
+    repeat a point is never chosen.  Raises BudgetExceeded past the default
+    node budget.
     """
     if not report.finite:
         raise ValueError("orbit division needs a finite orbit")
-    perms = _orbit_permutations(report, rotations)
+    perms = report.images[:rotations.r]
     size = report.size
     if not perms or size % len(perms) != 0:
         return None
-    images = [[perm[a] for perm in perms] for a in range(size)]
-    members = exact_cover(size, images, DEFAULT_NODE_BUDGET)
+    rows = [[perm[a] for perm in perms] for a in range(size)]
+    members = exact_cover(size, rows, DEFAULT_NODE_BUDGET)
     if members is None:
         return None
     return [report.points[a] for a in members]

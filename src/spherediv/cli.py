@@ -186,7 +186,7 @@ def cmd_euler_check(args) -> dict:
     closure = enumerate_group(rotations, cap=args.cap)
     if not closure.complete:
         raise BudgetExceeded(f"group closure exceeded the cap {args.cap}")
-    polytope = orbit_polytope(closure.elements, rotations.dimension)
+    polytope = orbit_polytope(closure)
     lattice = face_lattice(polytope)
     chi = lattice.euler_sum
     if rotations.dimension % 2 and not euler_check(lattice):

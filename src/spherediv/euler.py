@@ -10,11 +10,12 @@ generating the group.
 
 The group permutes the vertices and the faces, and the facet search uses it
 (symmetric facet enumeration, as in Bremner, Dutour Sikirić and Schürmann,
-"Polyhedral representation conversion up to symmetries", 2009).  All
-coordinates are cleared once to integers of Z[sqrt(D)] over one common
-denominator.  For the i-th vertex orbit only d-subsets through its
-representative, with the other vertices in orbits >= i, are tested; the
-normal comes from signed (d-1)-minors and support from integer dot products
+"Polyhedral representation conversion up to symmetries", 2009).  The
+vertices and their permutations are the points and elements of the
+permutation group ``actions.enumerate_group`` builds, with all coordinates
+integers of Z[sqrt(D)] over one common denominator.  For the i-th vertex
+orbit only d-subsets through its representative, with the other vertices in
+orbits >= i, are tested; the normal comes from signed (d-1)-minors and support from integer dot products
 with an exact sign, and each facet found is added with all its images.
 This is complete: a facet whose least vertex orbit is i has an image through
 that orbit's representative with every other vertex in orbits >= i, and d
@@ -60,62 +61,32 @@ def _combine(coeffs, cols) -> list[int]:
     return out
 
 
-def _images(ga, gb, cols_a, cols_b, dd: int) -> list:
-    """The integer pairs of (ga + gb sqrt(dd)) . v for the points whose
-    coordinates are the columns cols_a + cols_b sqrt(dd), one a-then-b tuple
-    per point."""
-    out_a = [_combine(ra + [dd * x for x in rb], cols_a + cols_b)
-             for ra, rb in zip(ga, gb)]
-    out_b = ([_combine(ra + rb, cols_b + cols_a) for ra, rb in zip(ga, gb)]
-             if dd else cols_b)
-    return list(zip(*out_a, *out_b))
-
-
 def _columns(pts, d: int):
     """Coordinate columns (a parts, then b parts) of integer pair vertices."""
     return ([[p[0][k] for p in pts] for k in range(d)],
             [[p[1][k] for p in pts] for k in range(d)])
 
 
-def orbit_polytope(group_elements, d: int) -> OrbitPolytope:
-    """Images of the signed standard basis under an exact (Fraction or
-    QuadExt) group, deduplicated, with the vertex permutation of every group
-    element; raises ArithmeticError if the vertex set is not group-invariant.
+def orbit_polytope(group) -> OrbitPolytope:
+    """The polytope on the points a complete ``actions.GroupEnumeration``
+    permutes, the images of the signed standard basis: the integer triples
+    are scaled to one common denominator, and the group's elements are the
+    vertex permutations."""
+    import math
+    from fractions import Fraction
 
-    g . e_i is column i of g, so the vertices are the signed columns of the
-    elements, and one common denominator of all entries clears them all.
-    """
-    mats = list(group_elements)
-    entries = [x for g in mats for row in g for x in row]
-    fields = {x.d for x in entries if isinstance(x, QuadExt)}
-    if len(fields) > 1:
-        raise ValueError(f"mixed quadratic fields {sorted(fields)}")
-    dd = fields.pop() if fields else 0
-    a, b, q = linalg.clear_quadratic_denominators(entries)
-    ints = [([a[k + i * d:k + i * d + d] for i in range(d)],
-             [b[k + i * d:k + i * d + d] for i in range(d)])
-            for k in range(0, len(entries), d * d)]
-    where: dict[tuple, int] = {}
-    verts: list = []
-    for g, (ga, gb) in zip(mats, ints):
-        for i in range(d):
-            column = tuple(row[i] for row in ga) + tuple(row[i] for row in gb)
-            for s in (1, -1):
-                key = tuple(s * x for x in column)
-                if key not in where:
-                    where[key] = len(verts)
-                    verts.append(tuple(row[i] if s == 1 else -row[i] for row in g))
-    pairs = [(key[:d], key[d:]) for key in where]
-    # g . v carries the denominator q twice; match it against q * (a, b)
-    scaled = {tuple(q * x for x in key): j for key, j in where.items()}
-    cols_a, cols_b = _columns(pairs, d)
-    perms = []
-    for ga, gb in ints:
-        perm = tuple(scaled.get(w) for w in _images(ga, gb, cols_a, cols_b, dd))
-        if None in perm:
-            raise ArithmeticError("vertex set is not group-invariant")
-        perms.append(perm)
-    return OrbitPolytope(d, verts, len(mats), pairs, dd, perms)
+    if not group.complete:
+        raise ValueError("orbit polytopes need a complete group enumeration")
+    q = math.lcm(*(den for _, _, den in group.points))
+    pairs = [(tuple(x * (q // den) for x in a), tuple(y * (q // den) for y in b))
+             for a, b, den in group.points]
+    if group.sqrt:
+        verts = [tuple(QuadExt(Fraction(x, den), Fraction(y, den), group.sqrt)
+                       for x, y in zip(a, b)) for a, b, den in group.points]
+    else:
+        verts = [tuple(Fraction(x, den) for x in a) for a, _, den in group.points]
+    return OrbitPolytope(group.dimension, verts, len(group.elements), pairs,
+                         group.sqrt, group.elements)
 
 
 @dataclass

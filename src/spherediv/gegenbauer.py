@@ -50,12 +50,6 @@ class RationalPolynomial:
         c = Fraction(c)
         return RationalPolynomial(tuple(c * x for x in self.coefficients))
 
-    def shift_mul_t(self) -> "RationalPolynomial":
-        """Multiply by t."""
-        if self.is_zero():
-            return self
-        return RationalPolynomial((Fraction(0),) + self.coefficients)
-
     def to_json(self) -> list[str]:
         return [f"{c.numerator}/{c.denominator}" for c in self.coefficients]
 
@@ -64,8 +58,6 @@ class RationalPolynomial:
         return cls(tuple(Fraction(s) for s in data))
 
 
-ZERO_POLYNOMIAL = RationalPolynomial(())
-ONE_POLYNOMIAL = RationalPolynomial((Fraction(1),))
 T_POLYNOMIAL = RationalPolynomial((Fraction(0), Fraction(1)))
 
 
@@ -89,22 +81,25 @@ def zero_of(t):
 def gegenbauer(d: int, n: int) -> RationalPolynomial:
     """Degree-n Gegenbauer polynomial for dimension d, with P_n(1) = 1.
 
-    Built by the three-term recurrence
-        (n + d - 2) P_{n+1}(t) = (2n + d - 2) t P_n(t) - n P_{n-1}(t),
-    seeded with P_0 = 1 and P_1 = t.
+    In closed form, with no recursion over the degree: the leading
+    coefficient is prod_{m=1}^{n-1} (2m + d - 2) / (m + d - 2), and each next
+    coefficient of the parity of n is
+        c_{n-2k-2} = -c_{n-2k} (n - 2k)(n - 2k - 1) / (2 (k + 1)(2n - 2k + d - 4)).
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if n == 0:
-        return ONE_POLYNOMIAL
-    if n == 1:
-        return T_POLYNOMIAL
-    p_prev, p_cur = gegenbauer(d, n - 2), gegenbauer(d, n - 1)
-    m = n - 1
-    num = p_cur.shift_mul_t().scale(2 * m + d - 2) - p_prev.scale(m)
-    return num.scale(Fraction(1, m + d - 2))
+    c = Fraction(1)
+    for m in range(1, n):
+        c *= Fraction(2 * m + d - 2, m + d - 2)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = c
+    for k in range(n // 2):
+        j = n - 2 * k
+        c = -c * Fraction(j * (j - 1), 2 * (k + 1) * (2 * n - 2 * k + d - 4))
+        coeffs[j - 2] = c
+    return RationalPolynomial(tuple(coeffs))
 
 
 @lru_cache(maxsize=None)

@@ -1,22 +1,24 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the production code paths they check: the orthogonal
-polynomials come from literal Gram-Schmidt over exact rational moments, sphere
-integrals from a Gauss-Legendre x uniform-angle product rule, common-kernel
-questions from the rank of the stacked matrix, determinants from Bareiss
-elimination on the scalar objects themselves or, over rings without division
-(sums of roots of unity), from cofactor expansion, certificate matrices from
-entry-by-entry Gegenbauer evaluation, zonal bases from Schur complements
-against an explicitly tracked inverse Gram matrix, rational sphere points from
-a sorted pool of Fraction stereographic images, witness residuals from a
-loop over samples, rotations and basis points, orbit divisions from a plain
-recursive DFS over scanned permutations, Z_N tilings from a search that
-recomputes every row and image modulo N, the circle's first cancelling
-degree from a zero test at every n in one full period, and the circle's
+polynomials come from literal Gram-Schmidt over exact rational moments and
+from the three-term recurrence, sphere integrals from a Gauss-Legendre x
+uniform-angle product rule, common-kernel questions from the rank of the
+stacked matrix, determinants from Bareiss elimination on the scalar objects
+themselves or, over rings without division (sums of roots of unity), from
+cofactor expansion, certificate matrices from entry-by-entry Gegenbauer
+evaluation, zonal bases from Schur complements against an explicitly tracked
+inverse Gram matrix, rational sphere points from a sorted pool of Fraction
+stereographic images, witness residuals from a loop over samples, rotations
+and basis points, orbit divisions from a plain recursive DFS over scanned
+permutations, finite groups from a breadth-first closure of the generator
+matrices under exact matrix products, Z_N tilings from a search that
+recomputes every row and image modulo N, the circle's first cancelling degree
+from a zero test at every n in one full period, and the circle's
 classification from a case analysis by the number of angles (congruence
 solvers for r <= 4, the divisor walk for every witness degree but r = 4),
-circle and lifted partition reports from a Python loop over the samples,
-arc partitions from explicit translates counted at every midpoint, and face
+circle and lifted partition reports from a Python loop over the samples, arc
+partitions from explicit translates counted at every midpoint, and face
 lattices of orbit polytopes from an exact nullspace and sign scan over every
 d-subset of the vertices, with no use of the group.
 """
@@ -39,7 +41,8 @@ from spherediv.errors import BudgetExceeded
 from spherediv.euler import MAX_VERTICES, FaceLattice
 from spherediv.lifting import (ANGLE_DENOMINATOR_SCALE, BOUNDARY_MARGIN,
                                PartitionReport)
-from spherediv.linalg import mat_vec, nullspace, one_like, rank, zero_like
+from spherediv.linalg import (identity_matrix, mat_mul, mat_vec, nullspace,
+                              one_like, rank, transpose, zero_like)
 from spherediv.scalars import is_zero_scalar, scalar_to_float, sign_scalar
 from spherediv.tiling import TileInstance, solve as tiling_solve
 
@@ -59,6 +62,20 @@ def gram_schmidt_gegenbauer(d: int, n: int) -> RationalPolynomial:
     target = basis[n]
     at_one = evaluate(target, Fraction(1))
     return target.scale(Fraction(1) / at_one)
+
+
+def gegenbauer_by_recurrence(d: int, n: int) -> RationalPolynomial:
+    """P_n from the three-term recurrence
+        (m + d - 2) P_{m+1}(t) = (2m + d - 2) t P_m(t) - m P_{m-1}(t),
+    seeded with P_0 = 1 and P_1 = t, one degree at a time."""
+    prev, cur = RationalPolynomial((Fraction(1),)), RationalPolynomial((0, 1))
+    if n == 0:
+        return prev
+    for m in range(1, n):
+        t_cur = RationalPolynomial((0,) + cur.coefficients)
+        nxt = (t_cur.scale(2 * m + d - 2) - prev.scale(m)).scale(Fraction(1, m + d - 2))
+        prev, cur = cur, nxt
+    return cur
 
 
 def sphere_average_s2(f, t_nodes: int = 64, phi_nodes: int = 128) -> float:
@@ -269,6 +286,25 @@ def _orbit_permutations_by_scan(report, rotations):
         return perms
     return [[report.points.index(tuple(mat_vec(m, list(p)))) for p in report.points]
             for m in rotations.matrices]
+
+
+def enumerate_group_by_matrices(rotations, cap: int):
+    """The group generated by an exact or quad tuple as matrices, in
+    breadth-first order from the identity under left multiplication by the
+    generators and then their transposes; None past cap elements."""
+    gens = list(rotations.matrices) + [transpose(m) for m in rotations.matrices]
+    queue = [identity_matrix(rotations.dimension, like=rotations.matrices[0][0][0])]
+    seen = {tuple(map(tuple, queue[0]))}
+    for x in queue:  # the queue grows while it is read
+        if len(queue) > cap:
+            return None
+        for g in gens:
+            y = mat_mul(g, x)
+            key = tuple(map(tuple, y))
+            if key not in seen:
+                seen.add(key)
+                queue.append(y)
+    return queue
 
 
 def divide_orbit_by_dfs(report, rotations):

@@ -211,20 +211,20 @@ def test_criterion_09_euler_suite():
     rx = [[F(1), F(0), F(0)], [F(0), F(0), F(-1)], [F(0), F(1), F(0)]]
     cube = enumerate_group(exact_tuple([rz, rx]), cap=100)
     lattices = []
-    poly = orbit_polytope(cube.elements, 3)
+    poly = orbit_polytope(cube)
     lat = face_lattice(poly)
     lattices.append(lat)
     assert lat.counts == [6, 12, 8]
     assert divisibility_obstruction(lat, 3) == (True, 2)
     cyc = enumerate_group(z_axis_rotation_tuple([F(1, 3)]), cap=10)
-    lat3 = face_lattice(orbit_polytope(cyc.elements, 3))
+    lat3 = face_lattice(orbit_polytope(cyc))
     lattices.append(lat3)
     assert lat3.counts == [14, 36, 24]
     assert divisibility_obstruction(lat3, 3) == (True, 0)
     # additional odd-dimension lattices for the hard Euler gate
-    lattices.append(face_lattice(orbit_polytope(identity_tuple(3, 1).matrices, 3)))
+    lattices.append(face_lattice(orbit_polytope(enumerate_group(identity_tuple(3, 1)))))
     hexa = enumerate_group(z_axis_rotation_tuple([F(1, 6)]), cap=20)
-    lattices.append(face_lattice(orbit_polytope(hexa.elements, 3)))
+    lattices.append(face_lattice(orbit_polytope(hexa)))
     for lat in lattices:
         assert euler_check(lat), lat.counts
     report(9, "cube group gives (6,12,8) with the r=3 obstruction at faces, "

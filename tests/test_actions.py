@@ -9,15 +9,16 @@ import pytest
 from spherediv.actions import (GroupWord, common_fixed_point_test,
                                divide_finite_orbit, enumerate_group,
                                evaluate_word, invariant_split, orbit,
-                               orbit_size_bound_check, parse_word,
-                               reduced_words)
+                               parse_word, reduced_words)
+from spherediv.euler import face_lattice, orbit_polytope
 from spherediv.linalg import identity_matrix, mat_vec
-from spherediv.points import (cayley_rotation, circle_rotation_tuple,
-                              exact_tuple, floating_tuple, random_skew_matrix,
-                              z_axis_rotation_tuple)
-from spherediv.scalars import is_zero_scalar
+from spherediv.points import (RotationTuple, cayley_rotation,
+                              circle_rotation_tuple, exact_tuple, floating_tuple,
+                              random_skew_matrix, z_axis_rotation_tuple)
+from spherediv.scalars import QuadExt, is_zero_scalar
 from spherediv.tiling import exact_cover
-from oracles import divide_orbit_by_dfs, stacked_kernel_intersection
+from oracles import (divide_orbit_by_dfs, enumerate_group_by_matrices,
+                     face_lattice_by_brute_force, stacked_kernel_intersection)
 
 F = Fraction
 
@@ -39,6 +40,18 @@ def signed_rotations(d):
             if round(np.linalg.det(np.array(m, dtype=float))) == 1:
                 out.append(m)
     return out
+
+
+def icosahedral_tuple():
+    """(x, y, z) -> (y, z, x) and (1/2)[[1, -phi, 1/phi], [phi, 1/phi, -1],
+    [1/phi, 1, phi]] with phi = (1 + sqrt 5)/2: they generate the rotation
+    group of the icosahedron, of order 60."""
+    phi, inv_phi = QuadExt(F(1, 2), F(1, 2), 5), QuadExt(F(-1, 2), F(1, 2), 5)
+    z, one, half = QuadExt(0, 0, 5), QuadExt(1, 0, 5), QuadExt(F(1, 2), 0, 5)
+    cycle = [[z, one, z], [z, z, one], [one, z, z]]
+    g = [[half, -phi / 2, inv_phi / 2], [phi / 2, inv_phi / 2, -half],
+         [inv_phi / 2, half, phi / 2]]
+    return RotationTuple(3, [cycle, g], "quad", 5)
 
 
 def as_floating(t):
@@ -198,26 +211,50 @@ def test_enumerate_group_half_turn():
     assert g.complete and g.order == 2
 
 
-def test_floating_cube_group_matches_exact():
-    t = signed_permutation_tuple()
-    exact = enumerate_group(t, cap=100)
-    floating = enumerate_group(as_floating(t), cap=100)
-    assert floating.complete and floating.order == exact.order == 24
-    for a, b in zip(exact.elements, floating.elements):  # same BFS order
-        assert np.array(b).tolist() == np.array(a, dtype=float).tolist()
+def test_enumerate_group_matches_the_matrix_closure_oracle():
+    rng = random.Random(16)
+    o, i = F(0), F(1)
+    quarter = [[o, -i, o, o], [i, o, o, o], [o, o, i, o], [o, o, o, i]]
+    cycle = [[o, -i, o, o], [o, o, i, o], [o, o, o, i], [i, o, o, o]]
+    cases = [exact_tuple([quarter, cycle])]  # all 192 signed rotations of R^4
+    for d in (2, 3, 4):
+        rotations = signed_rotations(d)
+        for _ in range(6):
+            cases.append(exact_tuple([rng.choice(rotations)
+                                      for _ in range(rng.choice((1, 2, 3)))]))
+    for _ in range(4):
+        cases.append(z_axis_rotation_tuple([F(rng.randrange(12), 12)
+                                            for _ in range(rng.choice((1, 2)))]))
+    cases.append(icosahedral_tuple())
+    orders = set()
+    for t in cases:
+        d = t.dimension
+        group = enumerate_group(t, cap=500)
+        oracle = enumerate_group_by_matrices(t, cap=500)
+        assert group.complete and group.order == len(oracle)
+        orders.add(group.order)
+        poly = orbit_polytope(group)
+        columns = {tuple(s * row[j] for row in m)
+                   for m in oracle for j in range(d) for s in (1, -1)}
+        assert set(poly.vertices) == columns and len(poly.vertices) == len(columns)
+        # the same breadth-first order: element k permutes the vertices as
+        # the k-th oracle matrix moves them
+        where = {v: j for j, v in enumerate(poly.vertices)}
+        for perm, m in zip(group.elements, oracle):
+            assert perm == tuple(where[tuple(mat_vec(m, list(v)))] for v in poly.vertices)
+        counts = face_lattice(poly).counts
+        if len(poly.vertices) <= 14:
+            assert counts == face_lattice_by_brute_force(poly).counts, t.matrices
+        else:  # the icosidodecahedron
+            assert group.order == 60 and counts == [30, 60, 32]
+    assert {192, 60} <= orders
 
 
-def test_floating_4d_signed_permutation_group():
-    # a quarter turn in the (1, 2) plane and a signed 4-cycle generate all 192
-    # signed permutation matrices of determinant +1; lookups in the float index
-    # must not grow with the 16 entries of a 4 x 4 matrix
-    q = [[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
-         [0.0, 0.0, 0.0, 1.0]]
-    c = [[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
-         [1.0, 0.0, 0.0, 0.0]]
-    g = enumerate_group(floating_tuple([q, c]), cap=400)
-    assert g.complete and g.order == 192 == len(signed_rotations(4))
-    assert len({tuple(np.ravel(m)) for m in g.elements}) == 192
+def test_enumerate_group_refuses_floating_and_circle_tuples():
+    for t in (as_floating(signed_permutation_tuple()),
+              circle_rotation_tuple([F(1, 3), F(2, 3)])):
+        with pytest.raises(ValueError, match="exact or quad"):
+            enumerate_group(t)
 
 
 def test_enumerate_group_cap_exceeded():
@@ -266,25 +303,6 @@ def test_invariant_split_full_span():
     split = invariant_split(rep, t)
     assert split.span_dimension == 3
     assert split.complement_basis == []
-
-
-def test_orbit_size_bound():
-    t = z_axis_rotation_tuple([F(1, 3), F(2, 3), F(0)])
-    rep = orbit((F(1), F(0), F(0)), t, cap=100)
-    split = invariant_split(rep, t)
-    check = orbit_size_bound_check(split, t, samples=10, seed=0)
-    assert check.ok and check.bound == 6
-    assert check.max_observed <= 6
-
-
-def test_orbit_size_bound_cube():
-    t = signed_permutation_tuple()
-    rep = orbit((F(1), F(0), F(0)), t, cap=100)
-    split = invariant_split(rep, t)
-    check = orbit_size_bound_check(split, t, samples=5, seed=1)
-    assert check.ok
-    assert check.max_observed <= math.factorial(6)
-    assert check.max_observed in (24, 48)  # generic orbits of the cube group
 
 
 def test_divide_finite_orbit_thirds():

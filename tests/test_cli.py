@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from spherediv import cli, linalg
 from spherediv.cli import main
-from spherediv.points import (exact_tuple, floating_tuple, identity_tuple,
+from spherediv.points import (cayley_rotation, exact_tuple, floating_tuple,
+                              identity_tuple, random_skew_matrix,
                               z_axis_rotation_tuple)
 from spherediv.serialize import tuple_to_json
 
@@ -163,6 +165,28 @@ def test_euler_check_command(tmp_path, capsys):
     assert data["face_counts"] == [6, 12, 8]
     assert data["chi"] == 2
     assert data["obstructed"] is True and data["witness_dim"] == 2
+
+
+def test_euler_check_cap_counts_group_elements(tmp_path, capsys):
+    path = write_tuple(tmp_path, exact_tuple([[[F(x) for x in row] for row in m]
+                                              for m in CUBE_GENERATORS]))
+    code, out = run(capsys, ["euler-check", "--generators", path, "--r", "3",
+                             "--cap", "24"])
+    assert code == 0 and json.loads(out)["group_order"] == 24
+    assert main(["euler-check", "--generators", path, "--r", "3", "--cap", "23"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "group closure exceeded the cap 23" in captured.err
+
+
+def test_euler_check_on_an_infinite_group_stops_at_the_default_cap(tmp_path, capsys):
+    rng = random.Random(8)
+    pair = exact_tuple([cayley_rotation(random_skew_matrix(rng, 3)) for _ in range(2)])
+    path = write_tuple(tmp_path, pair)
+    start = time.perf_counter()
+    assert main(["euler-check", "--generators", path, "--r", "3"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "group closure exceeded the cap 500" in capsys.readouterr().err
 
 
 def test_euler_check_on_the_icosahedral_group(tmp_path, capsys):
@@ -457,13 +481,20 @@ def test_malformed_arc_files_are_input_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gegenbauer", "--dim", "3", "--degree", "3000"],
     ["tile", "--modulus", "149460", "--shifts", "50619,28779,84694,0"],
     ["circle", "classify", "--angles", "10/53,2/47,5/12,17/20"],
 ])
 def test_recursion_depth_is_an_exhausted_budget(capsys, argv):
     assert main(argv) == 3
     assert capsys.readouterr().err == "resource budget exceeded: recursion depth\n"
+
+
+def test_gegenbauer_at_degree_3000_is_answered(capsys):
+    start = time.perf_counter()
+    assert main(["gegenbauer", "--dim", "3", "--degree", "3000"]) == 0
+    assert time.perf_counter() - start < 5.0
+    data = json.loads(capsys.readouterr().out)
+    assert len(data["coefficients"]) == 3001
 
 
 @pytest.mark.parametrize("argv", [

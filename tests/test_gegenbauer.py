@@ -5,7 +5,7 @@ import pytest
 from spherediv.gegenbauer import (RationalPolynomial, T_POLYNOMIAL, evaluate,
                                   gegenbauer, harmonic_dimension,
                                   normalized_moment, weighted_inner_product)
-from oracles import gram_schmidt_gegenbauer
+from oracles import gegenbauer_by_recurrence, gram_schmidt_gegenbauer
 
 
 def test_degree_zero_is_one():
@@ -30,6 +30,12 @@ def test_recurrence_matches_gram_schmidt_oracle():
     for d in range(2, 7):
         for n in range(11):
             assert gegenbauer(d, n) == gram_schmidt_gegenbauer(d, n), (d, n)
+
+
+def test_closed_form_matches_the_recurrence_oracle():
+    for d in range(2, 8):
+        for n in range(60):
+            assert gegenbauer(d, n) == gegenbauer_by_recurrence(d, n), (d, n)
 
 
 def test_exact_orthogonality():
