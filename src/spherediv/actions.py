@@ -1,11 +1,14 @@
 """Words, orbits and finite structure of the group generated by a tuple.
 
-Covers word evaluation in the generators (inverse = transpose), the exact
-common-fixed-point criterion det(sum A_i^T A_i) = 0, one breadth-first closure
-with caps that records the index of every image, finite groups as permutation
-groups of the orbit of the signed basis in Z[sqrt D] integers, splitting R^d
-into the span of a finite orbit and its complement (both invariant), and
-exact-cover division of a single finite orbit.
+Everything here is exact: a floating tuple is refused, because "the orbit is
+finite", "the words share a fixed vector" and "w = I" are closed conditions
+that no float computation proves.  Covers word evaluation in the generators
+(inverse = transpose), the common-fixed-point criterion det(sum A_i^T A_i) = 0,
+one breadth-first closure with caps that records the index of every image,
+finite groups as permutation groups of the orbit of the signed basis in
+Z[sqrt D] integers, splitting R^d into the span of a finite orbit and its
+complement (both invariant), and exact-cover division of a single finite
+orbit.
 """
 
 from __future__ import annotations
@@ -15,15 +18,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .points import RotationTuple
 from .tiling import DEFAULT_NODE_BUDGET, exact_cover
 from .scalars import is_zero_scalar
-
-FLOAT_DEDUP_TOL = 1e-8
-FLOAT_SINGULAR_COEFF = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,31 +76,29 @@ def parse_word(text: str) -> GroupWord:
     return GroupWord(tuple(expanded))
 
 
+def _require_exact(rotations: RotationTuple, what: str) -> None:
+    if not rotations.is_exact:
+        raise ValueError(f"{what} needs an exact, quad or circle tuple, got a "
+                         f"floating one")
+
+
 def evaluate_word(word: GroupWord, rotations: RotationTuple):
-    """Product of the generators and their transposes named by the word."""
+    """Exact product of the generators and their transposes named by the word."""
+    _require_exact(rotations, "word evaluation")
     for g, e in word.letters:
         if g > rotations.r:
             raise ValueError(f"bad letter ({g}, {e}): the tuple has {rotations.r} generators")
-    d = rotations.dimension
-    if rotations.mode == "floating":
-        acc = np.eye(d)
-        for g, e in word.letters:
-            m = np.array(rotations.matrices[g - 1], dtype=float)
-            acc = acc @ (m if e == 1 else m.T)
-        return acc.tolist()
     like = rotations.matrices[0][0][0] if rotations.matrices else Fraction(1)
-    acc = linalg.identity_matrix(d, like=like)
+    acc = linalg.identity_matrix(rotations.dimension, like=like)
     for g, e in word.letters:
         m = rotations.matrices[g - 1]
         acc = linalg.mat_mul(acc, m if e == 1 else linalg.transpose(m))
     return acc
 
 
-def minus_identity(m, floating: bool):
-    """w - I for a word matrix w: float entries when floating, exact otherwise."""
+def minus_identity(m):
+    """w - I for an exact word matrix w."""
     d = len(m)
-    if floating:
-        return [[float(m[i][j]) - (1.0 if i == j else 0.0) for j in range(d)] for i in range(d)]
     return [[m[i][j] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
 
 
@@ -129,7 +125,7 @@ def reduced_words(r: int, max_len: int):
 # -- common fixed points -------------------------------------------------------
 
 
-def common_fixed_point_test(matrices, floating: bool = False):
+def common_fixed_point_test(matrices):
     """(found, witness): do the kernels share a non-zero vector?
 
     Exactly when det(sum_i A_i^T A_i) = 0; the witness is a kernel vector of
@@ -137,19 +133,6 @@ def common_fixed_point_test(matrices, floating: bool = False):
     """
     if not matrices:
         raise ValueError("need at least one matrix")
-    if floating:
-        mats = [np.array(m, dtype=float) for m in matrices]
-        gram = sum(m.T @ m for m in mats)
-        detf = float(np.linalg.det(gram))
-        norm = float(np.max(np.abs(gram))) or 1.0
-        if abs(detf) > FLOAT_SINGULAR_COEFF * norm ** gram.shape[0]:
-            return False, None
-        _, _, vt = np.linalg.svd(gram)
-        witness = vt[-1]
-        if any(np.linalg.norm(m @ witness) > 1e-6 for m in mats):
-            return False, None
-        return True, witness.tolist()
-    d = len(matrices[0][0])
     gram = None
     for m in matrices:
         term = linalg.mat_mul(linalg.transpose(m), m)
@@ -169,70 +152,13 @@ def common_fixed_point_test(matrices, floating: bool = False):
 # -- orbits and group closure ---------------------------------------------------
 
 
-class _FloatIndex:
-    """Tolerance index of float points.
-
-    Points are bucketed by their projection onto a fixed generic direction w;
-    two points within 4 * tol in the max norm project less than one bucket
-    width apart, so a lookup probes three buckets whatever the dimension, and
-    points farther apart than 4 * tol are never matched.
-    """
-
-    def __init__(self, tol: float = FLOAT_DEDUP_TOL):
-        self.tol = tol
-        self.buckets: dict[int, list[int]] = {}
-        self.items: list[np.ndarray] = []
-        self.direction: np.ndarray | None = None
-        self.width = 0.0
-
-    def _bucket(self, v: np.ndarray) -> int:
-        if self.direction is None:
-            self.direction = np.cos(np.arange(1.0, v.size + 1.0))
-            self.width = 4 * self.tol * float(np.sum(np.abs(self.direction)))
-        position = float(self.direction @ v) / self.width
-        if not math.isfinite(position):
-            raise ValueError("cannot index a float item with non-finite or "
-                             "overflowing coordinates")
-        return math.floor(position)
-
-    def find(self, v) -> int | None:
-        b = self._bucket(v)
-        for key in (b, b - 1, b + 1):
-            for idx in self.buckets.get(key, ()):
-                if np.max(np.abs(self.items[idx] - v)) <= 4 * self.tol:
-                    return idx
-        return None
-
-    def add(self, v) -> int:
-        idx = len(self.items)
-        self.items.append(v)
-        self.buckets.setdefault(self._bucket(v), []).append(idx)
-        return idx
-
-
-class _ExactIndex:
-    """Index of exact, hashable items (tuples) by equality."""
-
-    def __init__(self):
-        self.where: dict[tuple, int] = {}
-
-    def find(self, x) -> int | None:
-        return self.where.get(x)
-
-    def add(self, x) -> int:
-        idx = len(self.where)
-        self.where[x] = idx
-        return idx
-
-
-def _closure(starts, moves, index, cap: int):
+def _closure(starts, moves, cap: int):
     """Breadth-first closure of distinct starts under the moves, deduplicated
-    by index: (items in discovery order, images, complete), where images[k][i]
-    is the index of moves[k](items[i]) for every item processed; incomplete
-    once more than cap items are known."""
+    by exact equality (hashable items): (items in discovery order, images,
+    complete), where images[k][i] is the index of moves[k](items[i]) for every
+    item processed; incomplete once more than cap items are known."""
     queue = list(starts)
-    for x in queue:
-        index.add(x)
+    where = {x: i for i, x in enumerate(queue)}
     images: list[list[int]] = [[] for _ in moves]
     head = 0
     while head < len(queue):
@@ -242,9 +168,9 @@ def _closure(starts, moves, index, cap: int):
         head += 1
         for move, row in zip(moves, images):
             y = move(x)
-            j = index.find(y)
+            j = where.get(y)
             if j is None:
-                j = index.add(y)
+                j = where[y] = len(queue)
                 queue.append(y)
             row.append(j)
     return queue, images, True
@@ -275,31 +201,21 @@ def _generators(rotations: RotationTuple) -> list:
 
 
 def _act(m, v):
-    """The point m . v: a float array for a float matrix, an exact tuple
-    otherwise."""
-    if isinstance(m, np.ndarray):
-        return m @ v
+    """The exact point m . v."""
     return tuple(linalg.mat_vec(m, list(v)))
 
 
 def orbit(start, rotations: RotationTuple, cap: int = 10 ** 4) -> OrbitReport:
-    """Breadth-first closure of a point under the generators and inverses,
-    within tolerance (floating) or exactly (other modes)."""
+    """Exact breadth-first closure of a point under the generators and
+    inverses of an exact, quad or circle tuple."""
+    _require_exact(rotations, "an orbit")
     if len(start) != rotations.dimension:
         raise ValueError(f"the start point has {len(start)} coordinates, the tuple "
                          f"has dimension {rotations.dimension}")
-    mats = _generators(rotations)
-    if rotations.mode == "floating":
-        v0 = np.array([float(c) for c in start], dtype=float)
-        mats, index = [np.array(m, dtype=float) for m in mats], _FloatIndex()
-    else:
-        v0 = tuple(Fraction(c) if isinstance(c, (int, Fraction)) else c for c in start)
-        index = _ExactIndex()
-    moves = [functools.partial(_act, m) for m in mats]
-    points, images, finite = _closure([v0], moves, index, cap)
-    if rotations.mode == "floating":
-        v0, points = v0.tolist(), [p.tolist() for p in points]
-    return OrbitReport(tuple(v0), points, finite, cap, rotations.mode, images)
+    v0 = tuple(Fraction(c) if isinstance(c, (int, Fraction)) else c for c in start)
+    moves = [functools.partial(_act, m) for m in _generators(rotations)]
+    points, images, finite = _closure([v0], moves, cap)
+    return OrbitReport(v0, points, finite, cap, rotations.mode, images)
 
 
 @dataclass
@@ -371,12 +287,11 @@ def enumerate_group(rotations: RotationTuple, cap: int = 10 ** 4) -> GroupEnumer
     zero = (0,) * d
     starts = [(tuple(s * (i == j) for i in range(d)), zero, 1)
               for j in range(d) for s in (1, -1)]
-    points, images, complete = _closure(starts, moves, _ExactIndex(), 2 * d * cap)
+    points, images, complete = _closure(starts, moves, 2 * d * cap)
     if not complete:
         return GroupEnumeration([], False, cap, d, points, dd)
     moves = [functools.partial(_compose, tuple(row)) for row in images]
-    elements, _, complete = _closure([tuple(range(len(points)))], moves,
-                                     _ExactIndex(), cap)
+    elements, _, complete = _closure([tuple(range(len(points)))], moves, cap)
     return GroupEnumeration(elements, complete, cap, d, points, dd)
 
 
@@ -397,18 +312,11 @@ class InvariantSplit:
         return len(self.span_basis)
 
 
-def _restrict(generator, basis, mode: str):
+def _restrict(generator, basis):
     """Coordinates of the generator's action on the span of basis; None if the
     span is not invariant."""
     if not basis:
         return []
-    if mode == "floating":
-        b = np.array(basis, dtype=float).T  # columns are basis vectors
-        g = np.array(generator, dtype=float)
-        coords, res, _, _ = np.linalg.lstsq(b, g @ b, rcond=None)
-        if np.max(np.abs(b @ coords - g @ b)) > 1e-8:
-            return None
-        return coords.tolist()
     cols = []
     bt = linalg.transpose(basis)  # columns are basis vectors
     for vec in basis:
@@ -427,31 +335,23 @@ def invariant_split(report: OrbitReport, rotations: RotationTuple) -> InvariantS
     block matrices on the two pieces."""
     if not report.finite:
         raise ValueError("invariant splitting needs a finite orbit")
-    mode = rotations.mode
-    if mode == "floating":
-        pts = np.array(report.points, dtype=float)
-        u, sing, vt = np.linalg.svd(pts)
-        rank = int(np.sum(sing > 1e-9))
-        span = vt[:rank].tolist()
-        comp = vt[rank:].tolist()
-    else:
-        pts = [list(p) for p in report.points]
-        red, pivots = linalg.rref(pts)
-        span = [red[i] for i in range(len(pivots))]
-        comp = linalg.nullspace(pts)
+    _require_exact(rotations, "invariant splitting")
+    pts = [list(p) for p in report.points]
+    red, pivots = linalg.rref(pts)
+    span = [red[i] for i in range(len(pivots))]
+    comp = linalg.nullspace(pts)
     span_blocks = []
     comp_blocks = []
     for g in rotations.matrices:
-        a = _restrict(g, span, mode)
-        b = _restrict(g, comp, mode)
+        a = _restrict(g, span)
+        b = _restrict(g, comp)
         if a is None or b is None:
-            raise ArithmeticError("orbit span or complement is not invariant; "
-                                  "numerical artifact in floating mode")
+            raise ArithmeticError("orbit span or complement is not invariant")
         span_blocks.append(a)
         comp_blocks.append(b)
     return InvariantSplit(orbit_size=report.size, span_basis=span,
                           complement_basis=comp, span_blocks=span_blocks,
-                          complement_blocks=comp_blocks, mode=mode)
+                          complement_blocks=comp_blocks, mode=rotations.mode)
 
 
 # -- dividing a finite orbit ------------------------------------------------------

@@ -79,11 +79,8 @@ def _load_tuple(path: str, modes=ALL_MODES):
     return t
 
 
-def _parse_point(text: str, floating: bool):
-    parts = [p for p in text.split(",") if p.strip()]
-    if floating:
-        return tuple(float(Fraction(p)) if "/" in p else float(p) for p in parts)
-    return tuple(Fraction(p) for p in parts)
+def _parse_point(text: str):
+    return tuple(Fraction(p) for p in text.split(",") if p.strip())
 
 
 def _parse_angles(text: str):
@@ -152,9 +149,8 @@ def cmd_tile(args) -> dict:
 
 
 def cmd_orbit(args) -> dict:
-    rotations = _load_tuple(args.tuple)
-    start = _parse_point(args.point, rotations.mode == "floating")
-    report = orbit(start, rotations, cap=args.cap)
+    rotations = _load_tuple(args.tuple, ("exact", "quad", "circle"))
+    report = orbit(_parse_point(args.point), rotations, cap=args.cap)
     if rotations.mode == "exact":
         points = [[format_fraction(c) for c in p] for p in report.points]
     else:
@@ -171,12 +167,11 @@ def _to_float(c):
 
 def cmd_fixed_point_test(args) -> dict:
     # a circle tuple would need a determinant over roots of unity
-    rotations = _load_tuple(args.tuple, ("exact", "quad", "floating"))
+    rotations = _load_tuple(args.tuple, ("exact", "quad"))
     words = [parse_word(w) for w in args.words.split(",")]
-    floating = rotations.mode == "floating"
-    mats = [minus_identity(evaluate_word(w, rotations), floating) for w in words]
-    found, witness = common_fixed_point_test(mats, floating=floating)
-    if witness is not None and not floating:
+    mats = [minus_identity(evaluate_word(w, rotations)) for w in words]
+    found, witness = common_fixed_point_test(mats)
+    if witness is not None:
         witness = [str(c) for c in witness]
     return _envelope(args, common_fixed_point=found, witness=witness)
 

@@ -11,7 +11,9 @@ polynomial relation, but no finite computation certifies that; the diagnostics
 here (non-trivial words staying away from the identity, no shared fixed points
 for non-commuting words in odd dimension, nonsingular obstruction sweeps) are
 necessary-style evidence only, and exact rational tuples are never labelled
-generic candidates (their entries satisfy obvious rational relations).
+generic candidates (their entries satisfy obvious rational relations).  For an
+exact tuple the word and fixed-point checks are exact; for a floating one they
+are float measurements against the thresholds below.
 """
 
 from __future__ import annotations
@@ -21,16 +23,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import common_fixed_point_test, evaluate_word, minus_identity, \
-    reduced_words
-from .obstruction import ObstructionReport, certify_degrees
+from . import linalg
+from .actions import GroupWord, common_fixed_point_test, evaluate_word, \
+    minus_identity, reduced_words
+from .obstruction import FLOAT_SINGULAR_COEFF, ObstructionReport, certify_degrees
 from .points import RotationTuple, validate_tuple
-from .scalars import scalar_to_float
+from .scalars import is_zero_scalar, scalar_to_float
 from .serialize import json_entry, json_int, json_list
 
 COMPLETION_ORTHONORMALITY_TOL = 1e-12
 COMPLETION_DETERMINANT_TOL = 1e-10
+# float tuples only: word matrices this close entrywise count as equal, and a
+# word with |det(w - I)| at most FLOAT_SINGULAR_DET counts as fixing a vector
 WORD_MARGIN_FLOOR = 1e-12
+FLOAT_SINGULAR_DET = 1e-10
 SCHEDULE_SHRINK = 4  # each nesting level shrinks the bound by 1/(SHRINK * d)
 
 
@@ -235,23 +241,56 @@ class GenericityReport:
         }
 
 
-def _word_margin(word, rotations: RotationTuple) -> float:
-    m = evaluate_word(word, rotations)
-    d = rotations.dimension
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            want = 1.0 if i == j else 0.0
-            worst = max(worst, abs(scalar_to_float(m[i][j]) - want))
-    return worst
+def _word_matrix(word, rotations: RotationTuple):
+    """The word's matrix: exact for an exact tuple, the float product (numpy)
+    for a floating one."""
+    if rotations.is_exact:
+        return evaluate_word(word, rotations)
+    acc = np.eye(rotations.dimension)
+    for g, e in word.letters:
+        m = np.array(rotations.matrices[g - 1], dtype=float)
+        acc = acc @ (m if e == 1 else m.T)
+    return acc
 
 
-def _words_equal(w1, w2, rotations: RotationTuple) -> bool:
-    m1 = evaluate_word(w1, rotations)
-    m2 = evaluate_word(w2, rotations)
-    d = rotations.dimension
-    return all(abs(scalar_to_float(m1[i][j]) - scalar_to_float(m2[i][j])) <= 1e-12
-               for i in range(d) for j in range(d))
+def _word_margin(m, exact: bool) -> float:
+    """max |w - I| entrywise, in floats."""
+    if exact:
+        m = np.array([[scalar_to_float(x) for x in row] for row in m])
+    return float(np.max(np.abs(m - np.eye(len(m)))))
+
+
+def _commute(w1, w2, rotations: RotationTuple) -> bool:
+    """w1 w2 = w2 w1: exactly, or entrywise within WORD_MARGIN_FLOOR."""
+    ab = _word_matrix(GroupWord(w1.letters + w2.letters), rotations)
+    ba = _word_matrix(GroupWord(w2.letters + w1.letters), rotations)
+    if rotations.is_exact:
+        return ab == ba
+    return bool(np.all(np.abs(ab - ba) <= WORD_MARGIN_FLOOR))
+
+
+def _fixes_a_vector(m, exact: bool) -> bool:
+    """Does the word matrix w fix a non-zero vector?  det(w - I) = 0 exactly,
+    or |det(w - I)| <= FLOAT_SINGULAR_DET in floats."""
+    if exact:
+        return is_zero_scalar(linalg.det(minus_identity(m)))
+    return abs(float(np.linalg.det(m - np.eye(len(m))))) <= FLOAT_SINGULAR_DET
+
+
+def _share_a_fixed_vector(words, exact: bool) -> bool:
+    """Do the word matrices fix a common non-zero vector?  Exactly by
+    ``common_fixed_point_test``; in floats, when det(sum A^T A) for A = w - I
+    is small next to its largest entry and the last singular vector of that
+    sum is annihilated by every A."""
+    if exact:
+        return common_fixed_point_test([minus_identity(m) for m in words])[0]
+    mats = [m - np.eye(len(m)) for m in words]
+    gram = sum(a.T @ a for a in mats)
+    norm = float(np.max(np.abs(gram))) or 1.0
+    if abs(float(np.linalg.det(gram))) > FLOAT_SINGULAR_COEFF * norm ** gram.shape[0]:
+        return False
+    witness = np.linalg.svd(gram)[2][-1]
+    return not any(np.linalg.norm(a @ witness) > 1e-6 for a in mats)
 
 
 def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
@@ -272,15 +311,17 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
     r = rotations.r
     notes = ["word / fixed-point / obstruction checks are necessary-style "
              "evidence, not a proof of genericity"]
+    exact = rotations.is_exact
     words_checked = 0
     min_margin = math.inf
     failing = None
     for word in reduced_words(r, word_length_cap):
         words_checked += 1
-        margin = _word_margin(word, rotations)
+        m = _word_matrix(word, rotations)
+        margin = _word_margin(m, exact)
         if margin < min_margin:
             min_margin = margin
-        if margin <= WORD_MARGIN_FLOOR:
+        if m == linalg.identity_matrix(len(m)) if exact else margin <= WORD_MARGIN_FLOOR:
             failing = str(word)
             break
     word_pass = failing is None
@@ -289,13 +330,12 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
     if word_pass:
         short = list(reduced_words(r, 2))
         d = rotations.dimension
-        exact = rotations.is_exact
         if d % 2 == 0:
             # a free action on an odd-dimensional sphere: no short word may
             # have a fixed point at all
             for w in short[:max_pairs]:
                 pairs_checked += 1
-                if _singular_minus_identity(evaluate_word(w, rotations), exact):
+                if _fixes_a_vector(_word_matrix(w, rotations), exact):
                     failures.append((str(w), str(w)))
         else:
             # locally commutative action: non-commuting words must not share
@@ -305,13 +345,11 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
                     if pairs_checked >= max_pairs:
                         break
                     w1, w2 = short[a], short[b]
-                    if _words_equal_compose(w1, w2, rotations):
+                    if _commute(w1, w2, rotations):
                         continue  # commuting pair: shared fixed points allowed
                     pairs_checked += 1
-                    mats = [minus_identity(evaluate_word(w, rotations), floating=not exact)
-                            for w in (w1, w2)]
-                    found, _ = common_fixed_point_test(mats, floating=not exact)
-                    if found:
+                    if _share_a_fixed_vector([_word_matrix(w, rotations)
+                                              for w in (w1, w2)], exact):
                         failures.append((str(w1), str(w2)))
                 if pairs_checked >= max_pairs:
                     break
@@ -319,7 +357,7 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
     all_obstructed = obstruction.all_obstructed
     candidate = (word_pass and not failures and all_obstructed
                  and rotations.mode == "floating")
-    if rotations.is_exact:
+    if exact:
         notes.append("exact tuples are never generic candidates: rational (or "
                      "quadratic) entries satisfy nontrivial rational relations")
     return GenericityReport(
@@ -328,21 +366,3 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
         failing_word=failing, fixed_point_pairs_checked=pairs_checked,
         fixed_point_failures=failures, obstruction=obstruction,
         generic_candidate=candidate, notes=notes)
-
-
-def _words_equal_compose(w1, w2, rotations: RotationTuple) -> bool:
-    from .actions import GroupWord
-
-    ab = GroupWord(w1.letters + w2.letters)
-    ba = GroupWord(w2.letters + w1.letters)
-    return _words_equal(ab, ba, rotations)
-
-
-def _singular_minus_identity(m, exact: bool) -> bool:
-    a = minus_identity(m, floating=not exact)
-    if exact:
-        from . import linalg
-        from .scalars import is_zero_scalar
-
-        return is_zero_scalar(linalg.det(a))
-    return abs(float(np.linalg.det(np.array(a, dtype=float)))) <= 1e-10

@@ -273,17 +273,7 @@ def witness_residual_by_sample(rotations, witness, samples: int, seed: int) -> f
 
 def _orbit_permutations_by_scan(report, rotations):
     """For each generator, j -> the index of g . p_j among the orbit points,
-    found by a scan: exact equality, or the nearest point in floating mode."""
-    if rotations.mode == "floating":
-        pts = np.array(report.points, dtype=float)
-        perms = []
-        for m in rotations.matrices:
-            images = pts @ np.array(m, dtype=float).T
-            dist = np.max(np.abs(images[:, None, :] - pts[None, :, :]), axis=2)
-            if np.any(np.min(dist, axis=1) > 1e-6):
-                raise ArithmeticError("orbit is not closed under a generator")
-            perms.append([int(j) for j in np.argmin(dist, axis=1)])
-        return perms
+    found by a scan for the equal point."""
     return [[report.points.index(tuple(mat_vec(m, list(p)))) for p in report.points]
             for m in rotations.matrices]
 

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -149,14 +148,6 @@ def test_common_fixed_point_agrees_with_stacked_rank_oracle():
                 assert all(is_zero_scalar(v) for v in mat_vec(m, witness))
 
 
-def test_common_fixed_point_floating():
-    za = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    found, witness = common_fixed_point_test(
-        [minus_identity(za)], floating=True)
-    assert found
-    assert abs(abs(witness[2]) - 1.0) < 1e-6
-
-
 def test_orbit_finite_exact():
     t = z_axis_rotation_tuple([F(1, 3), F(2, 3), F(0)])
     e1 = (F(1), F(0), F(0))
@@ -166,12 +157,18 @@ def test_orbit_finite_exact():
     assert orbit(e3, t, cap=100).size == 1
 
 
-def test_orbit_finite_floating():
-    a = 2 * math.pi / 3
-    m = [[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0],
-         [0.0, 0.0, 1.0]]
-    rep = orbit((1.0, 0.0, 0.0), floating_tuple([m]), cap=100)
-    assert rep.finite and rep.size == 3
+def test_floating_tuples_are_refused():
+    # a finite orbit, a shared fixed vector and w = I are closed conditions
+    # that no float computation proves
+    t = z_axis_rotation_tuple([F(1, 4)], d=3)
+    rep = orbit((F(1), F(0), F(0)), t, cap=100)
+    floating = as_floating(t)
+    with pytest.raises(ValueError, match="orbit needs an exact, quad or circle tuple"):
+        orbit((1.0, 0.0, 0.0), floating, cap=100)
+    with pytest.raises(ValueError, match="word evaluation needs an exact"):
+        evaluate_word(GroupWord(((1, 1),)), floating)
+    with pytest.raises(ValueError, match="invariant splitting needs an exact"):
+        invariant_split(rep, floating)
 
 
 def test_orbit_of_circle_tuples_dedups_rational_images():
@@ -266,13 +263,10 @@ def test_enumerate_group_cap_exceeded():
 
 def test_orbit_rejects_a_start_point_of_the_wrong_length():
     t = z_axis_rotation_tuple([F(1, 4), F(0)], d=3)
-    with pytest.raises(ValueError, match="2 coordinates"):
-        orbit((F(1), F(0)), t)
-    with pytest.raises(ValueError, match="dimension 3"):
-        orbit((1.0, 0.0, 0.0, 0.0), as_floating(t))
-    for start in ((math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0), (1e308, 1e308, 0.0)):
-        with pytest.raises(ValueError, match="non-finite"):
-            orbit(start, as_floating(t))
+    for start in ((F(1), F(0)), (F(1), F(0), F(0), F(0))):
+        with pytest.raises(ValueError, match=f"{len(start)} coordinates, the tuple "
+                                             f"has dimension 3"):
+            orbit(start, t)
 
 
 def test_invariant_split_planar_orbit():
@@ -357,13 +351,12 @@ def test_divide_finite_orbit_matches_the_dfs_oracle():
                   tuple([F(3, 5), F(4, 5)] + [F(0)] * (d - 2))]
         for _ in range(8):
             t = exact_tuple([rng.choice(rotations) for _ in range(rng.choice((2, 3, 4)))])
-            for mode_tuple in (t, as_floating(t)):
-                for start in starts:
-                    rep = orbit(start, mode_tuple, cap=500)
-                    assert rep.finite
-                    got = divide_finite_orbit(rep, mode_tuple)
-                    assert got == divide_orbit_by_dfs(rep, mode_tuple), (d, start)
-                    outcomes.add(got is None)
+            for start in starts:
+                rep = orbit(start, t, cap=500)
+                assert rep.finite
+                got = divide_finite_orbit(rep, t)
+                assert got == divide_orbit_by_dfs(rep, t), (d, start)
+                outcomes.add(got is None)
     assert outcomes == {True, False}
 
 

@@ -353,7 +353,21 @@ def test_euler_check_in_dimension_one_is_an_input_error(tmp_path, capsys):
 def test_fixed_point_test_refuses_circle_tuples(tmp_path, capsys):
     path = write_json(tmp_path, THIRDS)
     assert main(["fixed-point-test", "--tuple", path, "--words", "g1"]) == 2
-    assert "accepted modes: exact, quad, floating" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith("accepted modes: exact, quad\n")
+
+
+def test_orbit_and_fixed_point_test_refuse_floating_tuples(tmp_path, capsys):
+    # a finite orbit and a shared fixed vector are closed conditions that no
+    # float computation proves
+    quarter = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    path = write_tuple(tmp_path, floating_tuple([quarter]))
+    for argv, accepted in ((["orbit", "--point", "1,0,0"], "exact, quad, circle"),
+                           (["fixed-point-test", "--words", "g1"], "exact, quad")):
+        assert main(argv + ["--tuple", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "floating tuples are not accepted" in captured.err
+        assert captured.err.endswith(f"accepted modes: {accepted}\n")
 
 
 def test_malformed_tuple_structures_are_input_errors(tmp_path, capsys):

@@ -22,6 +22,7 @@ from spherediv.serialize import tuple_to_json
 from spherediv.synthesis import draw_upper_entries
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
+EXACT_ONLY = ("orbit", "fixed-point-test", "euler-check")
 JUNK = [None, 5, -1, 0, 1.5, True, "x", "1/0", "nan", [], [[]], {}, ["1/1", "0/1"]]
 
 
@@ -104,6 +105,9 @@ def test_tuple_commands_end_with_a_documented_exit_code(tmp_path_factory, case):
         assert code in DOCUMENTED_EXITS, (argv, data)
         # a failed internal check on a valid tuple would be a program fault
         assert not (valid and code == 4), (argv, data)
+        # these commands decide only exactly: a floating tuple is an input error
+        if valid and data["mode"] == "floating" and argv[0] in EXACT_ONLY:
+            assert code == 2, (argv, data)
 
 
 # -- circle classify --angles ----------------------------------------------------

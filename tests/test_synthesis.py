@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ def test_cayley_tuple_passes_checks_but_never_generic_candidate():
     assert report.obstruction.all_obstructed
     assert not report.generic_candidate
     assert any("never generic" in note for note in report.notes)
+
+
+def test_exact_tuple_near_the_identity_is_checked_exactly():
+    # rotations about z and about y by about 2e-7 rad: the commutator
+    # g1 g2 g1^-1 g2^-1 and the difference of g1 g2 and g2 g1 are below 1e-12
+    # in floats, but neither is zero exactly
+    e, z = Fraction(1, 10 ** 7), Fraction(0)
+    t = exact_tuple([cayley_rotation(s) for s in ([[z, e, z], [-e, z, z], [z, z, z]],
+                                                  [[z, z, e], [z, z, z], [-e, z, z]])])
+    report = genericity_diagnostics(t, word_length_cap=4, n_max=1)
+    assert report.word_check_pass and report.failing_word is None
+    assert 0 < report.min_word_margin < 1e-12
+    assert report.fixed_point_pairs_checked == 40
+    assert not report.fixed_point_failures
+    assert not report.generic_candidate
 
 
 def test_synthesized_tuple_is_generic_candidate():
