@@ -17,8 +17,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .actions import common_fixed_point_test, enumerate_group, evaluate_word, \
     minus_identity, orbit, parse_word
@@ -33,8 +31,6 @@ from .obstruction import certify_degrees, default_n_max, extract_witness, \
 from .points import enumerate_points, validate_tuple
 from .serialize import format_fraction, point_to_json, tuple_from_json, \
     tuple_to_json
-from .synthesis import complete_rows, draw_upper_entries, epsilon_schedule, \
-    genericity_diagnostics, upper_entries_from_json
 from .tiling import TileInstance, solve as tile_solve
 from .zonal import build_zonal_basis
 
@@ -213,6 +209,13 @@ def cmd_verify_partition(args) -> dict:
 
 
 def cmd_synth_generic(args) -> dict:
+    # synthesis computes in numpy floats throughout; the exact commands never
+    # load it
+    import numpy as np
+
+    from .synthesis import complete_rows, draw_upper_entries, epsilon_schedule, \
+        genericity_diagnostics, upper_entries_from_json
+
     rng = np.random.default_rng(args.seed)
     if args.upper:
         upper = upper_entries_from_json(_load_json(args.upper))

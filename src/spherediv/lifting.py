@@ -18,7 +18,7 @@ of the last two coordinates decides, so no decisive test rounds.
 The circle coordinate has one cut table per descriptor: the translated arc
 ends of a circle division (`circle.arc_cuts`), or the r cells of 1/r turn of a
 lift.  `membership` reads it by bisection and `verify_partition` by integer
-thresholds over whole sample arrays.
+thresholds over whole sample arrays.  Only the sampler loads numpy.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
 
 from .circle import ArcSet, CutTable, arc_cuts, verify_arcset
 from .serialize import json_entry, json_int, json_list
@@ -239,6 +237,8 @@ def verify_partition(desc: DivisionDescriptor, samples: int, seed: int = 0) -> P
     circle-block rule; the lower division decides only that null set and was
     checked when the descriptor was loaded.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     if isinstance(desc, PlaceholderDivision):
         raise ValueError("placeholder divisions have no evaluable membership")
@@ -264,6 +264,8 @@ def _near_cut(ks, table: CutTable, denom: int):
     """Is k / denom within 10^-7 turn of a cut c / q, that is
     |k q - c denom| 10^7 < q denom?  Exact: each cut rejects the integers
     lo..hi, and so do its copies one turn either side."""
+    import numpy as np
+
     m, q = 10 ** 7, table.q
     band = np.array([[(c * m - q) * denom // (q * m) + 1 for c in table.cuts],
                      [-(-(c * m + q) * denom // (q * m)) - 1 for c in table.cuts]],
@@ -277,6 +279,8 @@ def _near_cut(ks, table: CutTable, denom: int):
 def _circle_block_kept(desc: LiftedDivision, samples: int, rng):
     """Which Gaussian sphere points have a circle block of at least the margin;
     drawn in row chunks, the same stream as one call with less memory."""
+    import numpy as np
+
     keep = np.empty(samples, dtype=bool)
     for start in range(0, samples, GAUSS_CHUNK_ROWS):
         gauss = rng.normal(size=(min(GAUSS_CHUNK_ROWS, samples - start), desc.dimension))

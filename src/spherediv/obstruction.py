@@ -18,11 +18,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .cyclotomic import CycloNum, unit_vectors_sum_is_zero
-from .gegenbauer import evaluate, gegenbauer, harmonic_dimension
+from .gegenbauer import gegenbauer, harmonic_dimension
 from .points import RotationTuple, validate_tuple
 from .scalars import is_zero_scalar, scalar_to_float
 from .zonal import ZonalBasis, build_zonal_basis, pairing_matrix
@@ -44,23 +42,35 @@ def l_matrix(d: int, n: int, rotations: RotationTuple, basis: ZonalBasis):
     """Entry (i, j) = (1/N_n) sum_s P_n(v_i . (g_s v_j)).
 
     Exact and quad tuples are evaluated on integers by ``zonal.pairing_matrix``,
-    floating tuples term by term in floats.  A circle tuple has no L matrix
-    here: its determinant has the closed form ``circle_det``.
+    floating tuples in numpy floats, a column at a time: one dot product
+    v_i . (g_s v_j) per entry, and P_n by Horner's rule with float
+    coefficients over the column, the same float operations as evaluating
+    the rational P_n at each float.  A circle tuple has no L matrix here: its
+    determinant has the closed form ``circle_det``.
     """
     if rotations.mode in ("exact", "quad"):
         return pairing_matrix(d, n, basis.points, rotations.matrices)
     if rotations.mode != "floating":
         raise ValueError(f"no L matrix for {rotations.mode} tuples")
+    import numpy as np
+
     nn = harmonic_dimension(d, n)
-    poly = gegenbauer(d, n)
+    coeffs = [float(c) for c in gegenbauer(d, n).coefficients]
     mats = [np.array(m, dtype=float) for m in rotations.matrices]
     vecs = [np.array([float(c) for c in p]) for p in basis.points]
     k = len(vecs)
     out = np.zeros((k, k))
     for j in range(k):
-        images = [m @ vecs[j] for m in mats]
-        for i in range(k):
-            out[i, j] = sum(float(evaluate(poly, float(vecs[i] @ w))) for w in images)
+        column = 0
+        for w in (m @ vecs[j] for m in mats):
+            # a matrix-vector product V w may sum in another order than the
+            # dot products and change the last bits
+            t = np.array([float(v @ w) for v in vecs])
+            acc = np.full(k, coeffs[-1])
+            for c in reversed(coeffs[:-1]):
+                acc = acc * t + c
+            column = column + acc
+        out[:, j] = column
     return out / nn
 
 
@@ -130,6 +140,8 @@ def _certify_one(rotations: RotationTuple, n: int) -> DegreeCertificate:
         return DegreeCertificate(n, "obstructed", str(detv), scalar_to_float(detv))
     lm = l_matrix(d, n, rotations, basis)
     if rotations.mode == "floating":
+        import numpy as np
+
         detf = float(np.linalg.det(lm))
         # norm floored at 1: an all-tiny matrix is as singular as they
         # come, and a bound proportional to norm^size would underflow
@@ -182,14 +194,18 @@ class FractionalWitness:
 
     def evaluate_fraction(self, x) -> float:
         """Float value of f = 1/r + sum_j c_j P_n(v_j . x) at a sphere point."""
+        import numpy as np
+
         return float(self.evaluate_many(np.asarray(x, dtype=float)[None, :])[0])
 
-    def evaluate_many(self, xs) -> np.ndarray:
-        """f at each row of the float array xs.  The dot products are summed
-        coordinate by coordinate, P_n is evaluated by Horner's rule with
-        float coefficients and the terms are added in basis order, all
-        elementwise over the rows, so every row gets the same float
-        operations, in the same order, as a one-point evaluation."""
+    def evaluate_many(self, xs):
+        """f at each row of the float array xs, as a float array.  The dot
+        products are summed coordinate by coordinate, P_n is evaluated by
+        Horner's rule with float coefficients and the terms are added in
+        basis order, all elementwise over the rows, so every row gets the
+        same float operations, in the same order, as a one-point evaluation."""
+        import numpy as np
+
         coeffs = [float(c) for c in gegenbauer(len(self.points[0]), self.degree).coefficients]
         val = np.full(len(xs), 1.0 / self.r)
         for c, v in zip(self.coefficients, self.points):
@@ -254,6 +270,8 @@ def extract_witness(rotations: RotationTuple, n: int,
 def _validate_witness(rotations: RotationTuple, witness: FractionalWitness,
                       samples: int, seed: int) -> float:
     """Largest |sum_i f(g_i^{-1} x) - 1| over ``samples`` seeded random unit x."""
+    import numpy as np
+
     d = rotations.dimension
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(samples, d))

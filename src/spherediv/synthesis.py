@@ -18,14 +18,14 @@ are float measurements against the thresholds below.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .actions import GroupWord, common_fixed_point_test, evaluate_word, \
-    minus_identity, reduced_words
+from .actions import common_fixed_point_test, minus_identity, reduced_words
 from .obstruction import FLOAT_SINGULAR_COEFF, ObstructionReport, certify_degrees
 from .points import RotationTuple, validate_tuple
 from .scalars import is_zero_scalar, scalar_to_float
@@ -38,6 +38,7 @@ COMPLETION_DETERMINANT_TOL = 1e-10
 WORD_MARGIN_FLOOR = 1e-12
 FLOAT_SINGULAR_DET = 1e-10
 SCHEDULE_SHRINK = 4  # each nesting level shrinks the bound by 1/(SHRINK * d)
+WORD_CHUNK = 4096  # word matrices stacked at a time for their margins
 
 
 class CompletionError(ValueError):
@@ -241,30 +242,68 @@ class GenericityReport:
         }
 
 
-def _word_matrix(word, rotations: RotationTuple):
-    """The word's matrix: exact for an exact tuple, the float product (numpy)
-    for a floating one."""
-    if rotations.is_exact:
-        return evaluate_word(word, rotations)
-    acc = np.eye(rotations.dimension)
-    for g, e in word.letters:
-        m = np.array(rotations.matrices[g - 1], dtype=float)
-        acc = acc @ (m if e == 1 else m.T)
-    return acc
+class _WordMatrices:
+    """Matrices of reduced words: products of the generators and their
+    transposes, multiplied out from the identity one letter at a time.
+    Exact for an exact tuple, numpy floats for a floating one."""
+
+    def __init__(self, rotations: RotationTuple):
+        self.exact = rotations.is_exact
+        self.r = rotations.r
+        self.letters = {}
+        if self.exact:
+            self.identity = linalg.identity_matrix(rotations.dimension,
+                                                   like=rotations.matrices[0][0][0])
+            for g, m in enumerate(rotations.matrices, start=1):
+                self.letters[g, 1], self.letters[g, -1] = m, linalg.transpose(m)
+        else:
+            self.identity = np.eye(rotations.dimension)
+            for g, m in enumerate(rotations.matrices, start=1):
+                a = np.array(m, dtype=float)
+                self.letters[g, 1], self.letters[g, -1] = a, a.T
+
+    def __call__(self, letters):
+        return self.times(self.identity, letters)
+
+    def times(self, m, letters):
+        """m times the generators the letters name, one at a time."""
+        for letter in letters:
+            g = self.letters[letter]
+            m = linalg.mat_mul(m, g) if self.exact else m @ g
+        return m
+
+    def walk(self, max_len: int):
+        """(word, matrix, float margin max |w - I|) for each word of
+        ``reduced_words``, in its order.  A word's matrix is its prefix's
+        times one letter, the same products as ``__call__``; only the
+        previous length's matrices are kept, and the margins are taken over
+        stacks of up to WORD_CHUNK words, so memory stays a fraction of one
+        word length."""
+        known = {(): self.identity}
+        for length, level in itertools.groupby(reduced_words(self.r, max_len),
+                                               key=lambda w: len(w.letters)):
+            kept = {}
+            while chunk := list(itertools.islice(level, WORD_CHUNK)):
+                mats = [self.times(known[w.letters[:-1]], w.letters[-1:]) for w in chunk]
+                if length < max_len:
+                    kept.update(zip((w.letters for w in chunk), mats))
+                yield from zip(chunk, mats, _word_margins(mats, self.exact))
+            known = kept
 
 
-def _word_margin(m, exact: bool) -> float:
-    """max |w - I| entrywise, in floats."""
+def _word_margins(mats, exact: bool) -> list[float]:
+    """max |w - I| entrywise, in floats, for each word matrix w."""
     if exact:
-        m = np.array([[scalar_to_float(x) for x in row] for row in m])
-    return float(np.max(np.abs(m - np.eye(len(m)))))
+        mats = [[[scalar_to_float(x) for x in row] for row in m] for m in mats]
+    stack = np.array(mats, dtype=float)
+    return np.abs(stack - np.eye(stack.shape[1])).max(axis=(1, 2)).tolist()
 
 
-def _commute(w1, w2, rotations: RotationTuple) -> bool:
+def _commute(w1, w2, matrix: _WordMatrices) -> bool:
     """w1 w2 = w2 w1: exactly, or entrywise within WORD_MARGIN_FLOOR."""
-    ab = _word_matrix(GroupWord(w1.letters + w2.letters), rotations)
-    ba = _word_matrix(GroupWord(w2.letters + w1.letters), rotations)
-    if rotations.is_exact:
+    ab = matrix.times(matrix(w1.letters), w2.letters)
+    ba = matrix.times(matrix(w2.letters), w1.letters)
+    if matrix.exact:
         return ab == ba
     return bool(np.all(np.abs(ab - ba) <= WORD_MARGIN_FLOOR))
 
@@ -305,6 +344,8 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
     rational tuples are never generic (their entries are algebraically
     dependent over Q), which the report states explicitly.
     """
+    if word_length_cap < 1:
+        raise ValueError(f"the word length cap must be at least 1, got {word_length_cap}")
     report = validate_tuple(rotations)
     if not report.ok:
         raise ValueError("invalid rotation tuple: " + "; ".join(report.issues))
@@ -312,16 +353,16 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
     notes = ["word / fixed-point / obstruction checks are necessary-style "
              "evidence, not a proof of genericity"]
     exact = rotations.is_exact
+    matrix = _WordMatrices(rotations)
+    identity = linalg.identity_matrix(rotations.dimension)
     words_checked = 0
     min_margin = math.inf
     failing = None
-    for word in reduced_words(r, word_length_cap):
+    for word, m, margin in matrix.walk(word_length_cap):
         words_checked += 1
-        m = _word_matrix(word, rotations)
-        margin = _word_margin(m, exact)
         if margin < min_margin:
             min_margin = margin
-        if m == linalg.identity_matrix(len(m)) if exact else margin <= WORD_MARGIN_FLOOR:
+        if m == identity if exact else margin <= WORD_MARGIN_FLOOR:
             failing = str(word)
             break
     word_pass = failing is None
@@ -335,7 +376,7 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
             # have a fixed point at all
             for w in short[:max_pairs]:
                 pairs_checked += 1
-                if _fixes_a_vector(_word_matrix(w, rotations), exact):
+                if _fixes_a_vector(matrix(w.letters), exact):
                     failures.append((str(w), str(w)))
         else:
             # locally commutative action: non-commuting words must not share
@@ -345,11 +386,11 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
                     if pairs_checked >= max_pairs:
                         break
                     w1, w2 = short[a], short[b]
-                    if _commute(w1, w2, rotations):
+                    if _commute(w1, w2, matrix):
                         continue  # commuting pair: shared fixed points allowed
                     pairs_checked += 1
-                    if _share_a_fixed_vector([_word_matrix(w, rotations)
-                                              for w in (w1, w2)], exact):
+                    if _share_a_fixed_vector([matrix(w1.letters), matrix(w2.letters)],
+                                             exact):
                         failures.append((str(w1), str(w2)))
                 if pairs_checked >= max_pairs:
                     break

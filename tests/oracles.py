@@ -7,7 +7,8 @@ uniform-angle product rule, common-kernel questions from the rank of the
 stacked matrix, determinants from Bareiss elimination on the scalar objects
 themselves or, over rings without division (sums of roots of unity), from
 cofactor expansion, certificate matrices from entry-by-entry Gegenbauer
-evaluation, zonal bases from Schur complements against an explicitly tracked
+evaluation (in floats for a floating tuple), float word matrices multiplied
+out letter by letter from the identity, zonal bases from Schur complements against an explicitly tracked
 inverse Gram matrix, rational sphere points from a sorted pool of Fraction
 stereographic images, witness residuals from a loop over samples, rotations
 and basis points, orbit divisions from a plain recursive DFS over scanned
@@ -165,6 +166,31 @@ def l_matrix_by_evaluate(d: int, n: int, rotations, points):
             row.append(scale * total)
         rows.append(row)
     return rows
+
+
+def float_l_matrix_by_terms(d: int, n: int, rotations, points):
+    """L of a floating tuple in numpy floats, entry by entry: one dot product
+    and one Horner evaluation of the rational P_n per term."""
+    poly = gegenbauer(d, n)
+    mats = [np.array(m, dtype=float) for m in rotations.matrices]
+    vecs = [np.array([float(c) for c in p]) for p in points]
+    k = len(vecs)
+    out = np.zeros((k, k))
+    for j in range(k):
+        images = [m @ vecs[j] for m in mats]
+        for i in range(k):
+            out[i, j] = sum(float(evaluate(poly, float(vecs[i] @ w))) for w in images)
+    return out / harmonic_dimension(d, n)
+
+
+def float_word_matrix_by_letters(letters, rotations):
+    """The float matrix of a word, multiplied out from the identity, one
+    generator or transpose at a time, each converted to an array afresh."""
+    acc = np.eye(rotations.dimension)
+    for g, e in letters:
+        m = np.array(rotations.matrices[g - 1], dtype=float)
+        acc = acc @ (m if e == 1 else m.T)
+    return acc
 
 
 def greedy_basis_by_inverse(d: int, n: int, candidates):

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -527,3 +530,58 @@ def test_circle_classify_at_a_large_prime_is_fast(capsys):
     assert main(["circle", "classify", "--angles", "75002/100003,0"]) == 0
     assert time.perf_counter() - start < 0.1
     assert json.loads(capsys.readouterr().out)["classification"]["verdict"] == "not_fractional"
+
+
+# Runs each argv (a JSON list of lists, the first command-line argument)
+# through cli.main and prints, as JSON, whether numpy was loaded after the
+# import and then the exit code and whether numpy was loaded after each one.
+_NUMPY_PROBE = """
+import json, sys
+import spherediv.cli
+seen = ['numpy' in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    seen.append([spherediv.cli.main(argv), 'numpy' in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def _probe_numpy(commands):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "SPHEREDIV_CACHE_DIR"}
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+                          env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_exact_commands_do_not_load_numpy(tmp_path):
+    out = ["--output", str(tmp_path / "out.json")]
+    cube = write_json(tmp_path, {"mode": "exact", "dimension": 3,
+                                 "matrices": [[[str(x) for x in row] for row in m]
+                                              for m in CUBE_GENERATORS]}, "cube.json")
+    quad = write_tuple(tmp_path, z_axis_rotation_tuple([F(1, 12), F(5, 12)], d=3), "quad.json")
+    circle = write_json(tmp_path, THIRDS, "thirds.json")
+    arcs = write_json(tmp_path, [{"start": "0/1", "end": "1/3"}], "arcs.json")
+    desc = str(tmp_path / "desc.json")
+    exact = [
+        ["gegenbauer", "--dim", "3", "--degree", "4", "--eval", "1/3"] + out,
+        ["points", "--dim", "3", "--count", "5"] + out,
+        ["basis", "--dim", "3", "--degree", "2"] + out,
+        ["circle", "classify", "--angles", "1/3,2/3,0"] + out,
+        ["circle", "verify", "--angles", "1/3,2/3,0", "--arcs", arcs] + out,
+        ["tile", "--modulus", "12", "--shifts", "2,5,3,0"] + out,
+        ["orbit", "--tuple", cube, "--point", "3/5,4/5,0"] + out,
+        ["orbit", "--tuple", quad, "--point", "1,0,0"] + out,
+        ["fixed-point-test", "--tuple", cube, "--words", "g1 g2, g2 g1"] + out,
+        ["euler-check", "--generators", cube, "--r", "3"] + out,
+        ["lift", "--base-angles", "1/3,2/3,0", "--target-dim", "4", "--output", desc],
+        ["obstruct", "--tuple", cube, "--nmax", "2"] + out,
+        ["obstruct", "--tuple", quad, "--nmax", "2"] + out,
+        ["obstruct", "--tuple", circle, "--nmax", "2"] + out,
+    ]
+    seen = _probe_numpy(exact + [["verify-partition", "--desc", desc, "--samples", "100"] + out])
+    assert seen[0] is False, "importing spherediv.cli loaded numpy"
+    assert seen[1:-1] == [[0, False]] * len(exact)
+    assert seen[-1] == [0, True]
+    synth = ["synth-generic", "--dim", "2", "--r", "2", "--word-cap", "2", "--nmax", "1"]
+    assert _probe_numpy([synth + out]) == [False, [0, True]]

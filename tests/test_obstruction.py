@@ -18,7 +18,8 @@ from spherediv.points import (cayley_rotation, circle_rotation_tuple,
                               random_skew_matrix, z_axis_rotation_tuple)
 from spherediv.scalars import is_zero_scalar, scalar_to_float
 from spherediv.zonal import build_zonal_basis
-from oracles import (det_cofactor, l_matrix_by_evaluate,
+from spherediv.synthesis import complete_rows, draw_upper_entries
+from oracles import (det_cofactor, float_l_matrix_by_terms, l_matrix_by_evaluate,
                      witness_residual_by_sample, witness_value_by_point)
 
 
@@ -250,6 +251,25 @@ def test_l_matrix_matches_termwise_evaluation(d, n):
             [[type(x) for x in row] for row in want]
         assert [[str(x) for x in row] for row in got] == \
             [[str(x) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_floating_l_matrix_matches_the_termwise_float_oracle(d):
+    # bit for bit, signs of zero included: synthesized tuples near the
+    # identity and float copies of Cayley rotations far from it
+    rng = np.random.default_rng(40 + d)
+    rnd = random.Random(40 + d)
+    tuples = [complete_rows(draw_upper_entries(rng, d, r)).rotations for r in (1, 2, 3)]
+    tuples.append(floating_tuple([[[float(x) for x in row]
+                                   for row in cayley_rotation(random_skew_matrix(rnd, d))]
+                                  for _ in range(2)]))
+    for n in range(1, 5 if d <= 3 else 4):
+        basis = build_zonal_basis(d, n)
+        for t in tuples:
+            got = l_matrix(d, n, t, basis)
+            want = float_l_matrix_by_terms(d, n, t, basis.points)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _circle_cases():

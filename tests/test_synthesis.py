@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -5,12 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spherediv.points import (cayley_rotation, exact_tuple, identity_tuple,
-                              random_skew_matrix, validate_tuple)
-from spherediv.synthesis import (CompletionError, UpperEntries, complete_rows,
-                                 draw_upper_entries, epsilon_schedule,
-                                 genericity_diagnostics,
+from spherediv import synthesis
+from spherediv.actions import evaluate_word, reduced_words
+from spherediv.cli import main
+from spherediv.points import (cayley_rotation, exact_tuple, floating_tuple,
+                              identity_tuple, random_skew_matrix, validate_tuple)
+from spherediv.synthesis import (CompletionError, UpperEntries, _WordMatrices,
+                                 complete_rows, draw_upper_entries,
+                                 epsilon_schedule, genericity_diagnostics,
                                  identity_distance_target)
+from oracles import float_word_matrix_by_letters
 
 
 def test_schedule_values():
@@ -141,3 +146,52 @@ def test_even_dimension_free_action_check():
     assert report.word_check_pass
     assert not report.fixed_point_failures
     assert report.fixed_point_pairs_checked > 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("r", [2, 3])
+def test_word_matrices_along_the_tree_match_the_letter_by_letter_oracle(d, r, monkeypatch):
+    # the word check's matrices and margins, and the products w1 w2 of the
+    # commutation check, must be the same floats as multiplying each word out
+    # from the identity; a chunk of 7 splits each word length into stacks
+    monkeypatch.setattr(synthesis, "WORD_CHUNK", 7)
+    rng = np.random.default_rng(10 * d + r)
+    rnd = random.Random(10 * d + r)
+    tuples = [complete_rows(draw_upper_entries(rng, d, r)).rotations,
+              floating_tuple([[[float(x) for x in row]
+                               for row in cayley_rotation(random_skew_matrix(rnd, d))]
+                              for _ in range(r)])]
+    for t in tuples:
+        matrix = _WordMatrices(t)
+        walked = list(matrix.walk(4))
+        assert [w for w, _, _ in walked] == list(reduced_words(r, 4))
+        for w, m, margin in walked:
+            want = float_word_matrix_by_letters(w.letters, t)
+            assert np.array_equal(m, want)
+            assert margin == float(np.max(np.abs(want - np.eye(d))))
+        words = [w.letters for w, _, _ in walked]
+        for w1, w2 in zip(words, words[::-7]):
+            assert np.array_equal(matrix.times(matrix(w1), w2),
+                                  float_word_matrix_by_letters(w1 + w2, t))
+
+
+def test_exact_word_matrices_along_the_tree_are_the_word_products():
+    rnd = random.Random(8)
+    t = exact_tuple([cayley_rotation(random_skew_matrix(rnd, 3)) for _ in range(2)])
+    walked = list(_WordMatrices(t).walk(3))
+    assert len(walked) == 4 + 12 + 36
+    for w, m, _ in walked:
+        assert m == evaluate_word(w, t)
+
+
+def test_a_word_cap_below_one_is_an_input_error(capsys):
+    # no word would be checked, and the report would claim a pass
+    argv = ["synth-generic", "--dim", "3", "--r", "2", "--nmax", "1", "--word-cap"]
+    for cap in ("0", "-5"):
+        assert main(argv + [cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"input error: the word length cap must be at least 1, got {cap}\n"
+    assert main(argv + ["1"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["words_checked"] == 4
