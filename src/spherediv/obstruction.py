@@ -6,15 +6,24 @@ v_1, ..., v_{N_n}.  A nonzero exact determinant certifies that every
 square-integrable f with sum_i g_i.f = 1 a.e. has vanishing degree-n harmonic
 component.  A zero determinant yields an explicit witness: a kernel vector c
 gives F = sum_j c_j P_n(v_j . x) with sum_i g_i.F = 0, so f = 1/r + F is a
-non-constant fractional division supported at degree n.  For circle tuples
-the determinant has a closed form over roots of unity (``circle_det``) that
-vanishes exactly when the rotated unit vectors cancel, so the degree is
-decided by the cyclotomic zero test without building L.
+non-constant fractional division supported at degree n.
+
+L_n = M_n [T_n] for the Gram matrix M_n of the basis and the matrix [T_n] of
+T_n = sum_s rho_n(g_s) on the degree-n harmonics H_n, so det L_n =
+det M_n det T_n.  Two cases have det T_n in closed form, and L is not built
+for them.  For circle tuples it is a sum of roots of unity (``circle_det``)
+that vanishes exactly when the rotated unit vectors cancel, so the degree is
+decided by the cyclotomic zero test.  For exact and quad pairs in d = 3 and
+4 it is det(I + rho_n(g_1^T g_2)), a product over the torus weights of H_n
+in the cosines of the rotation angles (``pair_det``).  Every other tuple, and
+every witness, goes through L.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,8 +31,8 @@ from . import linalg
 from .cyclotomic import CycloNum, unit_vectors_sum_is_zero
 from .gegenbauer import gegenbauer, harmonic_dimension
 from .points import RotationTuple, validate_tuple
-from .scalars import is_zero_scalar, scalar_to_float
-from .zonal import ZonalBasis, build_zonal_basis, pairing_matrix
+from .scalars import QuadExt, is_zero_scalar, scalar_to_float
+from .zonal import ZonalBasis, build_zonal_bases, build_zonal_basis, pairing_matrix
 
 FLOAT_SINGULAR_COEFF = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-9
@@ -89,6 +98,110 @@ def circle_det(rotations: RotationTuple, n: int, basis: ZonalBasis) -> CycloNum:
     return CycloNum(order, [(n * (a - b), basis.gram_det) for a in exps for b in exps])
 
 
+def pair_det(rotations: RotationTuple, n: int, basis: ZonalBasis):
+    """det L_n of an exact or quad pair (g_1, g_2) in d = 3 or 4, in closed form.
+
+    L_n is M_n times the matrix of T_n = rho_n(g_1) + rho_n(g_2) on H_n, and
+    T_n = rho_n(g_1)(I + rho_n(h)) with h = g_1^T g_2 and det rho_n(g_1) = 1
+    (SO(d) is connected), so det L_n = det M_n det(I + rho_n(h)).  The
+    eigenvalues of rho_n(h) are e^{i<w, theta>} over the torus weights w of
+    H_n and the rotation angles theta of h, and the product of their
+    1 + e^{i<w, theta>} depends only on the cosines of the angles:
+
+    * d = 3: the weights are -n..n, cos theta = c = (tr h - 1) / 2, and the
+      product is 2 prod_{m=1..n} (2 + 2 T_m(c)) for the Chebyshev T_m.
+    * d = 4: each copy of the weights (+-a, +-b) with a, b > 0 gives
+      4 (cos a alpha + cos b beta)^2, each axis pair (+-a, 0) or (0, +-b)
+      gives 2 + 2 cos, and (0, 0) gives 2.  cos alpha and cos beta are the
+      roots of t^2 - s t + p with s = tr h / 2 and p = (e_2(h) - 2) / 4, so
+      the product is taken in Q[x]/(x^2 - s x + p) with x = cos alpha and
+      s - x = cos beta.  It is fixed by x -> s - x, so its x-part is zero.
+
+    The value is a Fraction, or a QuadExt over the field of the entries: the
+    type ``linalg.det`` gives for L_n.
+    """
+    d = rotations.dimension
+    g1, g2 = rotations.matrices
+    h = linalg.mat_mul(linalg.transpose(g1), g2)
+    trace = sum((h[i][i] for i in range(1, d)), h[0][0])
+    if d == 3:
+        c = (trace - 1) / 2
+        value, t_prev, t = 2, 1, c
+        for _ in range(n):
+            value = value * (2 + 2 * t)
+            t_prev, t = t, 2 * c * t - t_prev
+    elif d == 4:
+        value = _so4_pair_product(h, trace, n)
+    else:
+        raise ValueError(f"no closed form for pairs in dimension {d}")
+    value = basis.gram_det * value
+    fields = {x.d for g in (g1, g2) for row in g for x in row if isinstance(x, QuadExt)}
+    if fields and not isinstance(value, QuadExt):
+        value = QuadExt(value, 0, fields.pop())
+    return value
+
+
+@functools.cache
+def _so4_weights(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(a, b, multiplicity) of the torus weights (a, b) of SO(4) on H_n with
+    a, b >= 0.
+
+    H_n = Sym^n - Sym^{n-2} as representations, and the monomial
+    z_1^n1 conj(z_1)^n2 z_2^n3 conj(z_2)^n4 of Sym^n has weight
+    (n1 - n2, n3 - n4).  Each sign flip fixes the multiset, so the weights
+    with a, b >= 0 describe all of it.
+    """
+    def sym(k: int) -> Counter:
+        out: Counter = Counter()
+        for n1 in range(k + 1):
+            for n2 in range(k + 1 - n1):
+                for n3 in range(k + 1 - n1 - n2):
+                    out[(n1 - n2, 2 * n3 + n1 + n2 - k)] += 1
+        return out
+
+    weights = sym(n)
+    weights.subtract(sym(n - 2))
+    return tuple((a, b, m) for (a, b), m in sorted(weights.items())
+                 if a >= 0 and b >= 0 and m)
+
+
+def _so4_pair_product(h, trace, n: int):
+    """det(I + rho_n(h)) for h in SO(4); see ``pair_det``.  Elements of
+    Q[x]/(x^2 - s x + p) are pairs (u, v) meaning u + v x."""
+    e2 = sum(h[i][i] * h[j][j] - h[i][j] * h[j][i] for i in range(4) for j in range(i + 1, 4))
+    s, p = trace / 2, (e2 - 2) / 4
+
+    def mul(f, g):
+        cross = f[1] * g[1]
+        return f[0] * g[0] - p * cross, f[0] * g[1] + f[1] * g[0] + s * cross
+
+    def chebyshev(z):
+        """T_0(z), ..., T_n(z) by T_{m+1} = 2 z T_m - T_{m-1}."""
+        out = [(1, 0), z]
+        for _ in range(n - 1):
+            u, v = mul(z, out[-1])
+            out.append((2 * u - out[-2][0], 2 * v - out[-2][1]))
+        return out
+
+    cos_a, cos_b = chebyshev((0, 1)), chebyshev((s, -1))
+    value = (1, 0)
+    for a, b, m in _so4_weights(n):
+        if a and b:
+            f = cos_a[a][0] + cos_b[b][0], cos_a[a][1] + cos_b[b][1]
+            u, v = mul(f, f)
+            f = 4 * u, 4 * v
+        elif a or b:
+            u, v = cos_a[a] if a else cos_b[b]
+            f = 2 + 2 * u, 2 * v
+        else:
+            f = 2, 0
+        for _ in range(m):
+            value = mul(value, f)
+    if not is_zero_scalar(value[1]):
+        raise ArithmeticError("the SO(4) pair product is not symmetric in its angles")
+    return value[0]
+
+
 @dataclass
 class DegreeCertificate:
     n: int
@@ -128,9 +241,7 @@ class ObstructionReport:
         }
 
 
-def _certify_one(rotations: RotationTuple, n: int) -> DegreeCertificate:
-    d = rotations.dimension
-    basis = build_zonal_basis(d, n)
+def _certify_one(rotations: RotationTuple, n: int, basis: ZonalBasis) -> DegreeCertificate:
     if rotations.mode == "circle":
         # det L_n = det M_n |lambda_n|^2 with det M_n > 0, so the zero test
         # of lambda_n decides the degree and circle_det only gives the value
@@ -138,10 +249,10 @@ def _certify_one(rotations: RotationTuple, n: int) -> DegreeCertificate:
             return DegreeCertificate(n, "witness_exists", "0", 0.0)
         detv = circle_det(rotations, n, basis)
         return DegreeCertificate(n, "obstructed", str(detv), scalar_to_float(detv))
-    lm = l_matrix(d, n, rotations, basis)
     if rotations.mode == "floating":
         import numpy as np
 
+        lm = l_matrix(rotations.dimension, n, rotations, basis)
         detf = float(np.linalg.det(lm))
         # norm floored at 1: an all-tiny matrix is as singular as they
         # come, and a bound proportional to norm^size would underflow
@@ -151,7 +262,10 @@ def _certify_one(rotations: RotationTuple, n: int) -> DegreeCertificate:
         status = "witness_exists" if abs(detf) <= threshold else "obstructed"
         return DegreeCertificate(n, status, detf, detf,
                                  note="inexact - rerun in exact mode")
-    detv = linalg.det(lm)
+    if rotations.r == 2 and rotations.dimension in (3, 4):
+        detv = pair_det(rotations, n, basis)
+    else:
+        detv = linalg.det(l_matrix(rotations.dimension, n, rotations, basis))
     zero = is_zero_scalar(detv)
     det_float = 0.0 if zero else scalar_to_float(detv)
     status = "witness_exists" if zero else "obstructed"
@@ -167,7 +281,8 @@ def certify_degrees(rotations: RotationTuple, n_max: int | None = None) -> Obstr
         n_max = default_n_max(rotations.dimension)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    degrees = [_certify_one(rotations, n) for n in range(1, n_max + 1)]
+    bases = build_zonal_bases(rotations.dimension, range(1, n_max + 1))
+    degrees = [_certify_one(rotations, n, basis) for n, basis in enumerate(bases, 1)]
     witness_degrees = [c.n for c in degrees if c.status == "witness_exists"]
     if witness_degrees:
         disclaimer = (f"certificate covers harmonic degrees 1..{n_max} only; "

@@ -59,6 +59,32 @@ def _parameters_up_to_height(h: int) -> list[tuple[int, int]]:
     return vals
 
 
+def parameter_height(d: int, count: int) -> int:
+    """The parameter height h that ``enumerate_points(d, count)`` walks.
+
+    h is the least height giving at least max(2 count, count + 2d)
+    candidates; BudgetExceeded is raised when h would pass
+    MAX_PARAMETER_HEIGHT or the parameter vectors at h pass
+    MAX_PARAMETER_VECTORS.  Two counts with the same h walk the same
+    candidates, so the points of the smaller count are a prefix of the points
+    of the larger.
+    """
+    if d < 2 or count < 1:
+        raise ValueError("need d >= 2 and count >= 1")
+    target = max(2 * count, count + 2 * d)
+    h = 1
+    size = len(_parameters_up_to_height(h))
+    while size ** (d - 1) + 1 < target:
+        h += 1
+        if h > MAX_PARAMETER_HEIGHT:
+            raise BudgetExceeded("parameter height budget exhausted")
+        size = len(_parameters_up_to_height(h))
+    if size ** (d - 1) > MAX_PARAMETER_VECTORS:
+        raise BudgetExceeded(f"{size}^{d - 1} parameter vectors exceed the "
+                             f"enumeration budget of {MAX_PARAMETER_VECTORS}")
+    return h
+
+
 def enumerate_points(d: int, count: int) -> list[tuple[Fraction, ...]]:
     """First ``count`` rational unit points in dimension d, by increasing height.
 
@@ -66,15 +92,13 @@ def enumerate_points(d: int, count: int) -> list[tuple[Fraction, ...]]:
     height 1) always come first.  Ties are broken lexicographically.
 
     The candidates are the stereographic images of the parameters w in
-    Q^{d-1} with every coordinate of height at most h, plus e_d (the one
-    signed basis vector the map misses), for the least h giving at least
-    max(2 count, count + 2d) of them.  The map is injective, so that h is
-    known from the number of parameters alone.  Each image is the integer
-    vector (2 b m, s - m^2) over s + m^2, for w = b / m and s = |b|^2, and its
-    height is read off with integer gcds; Fractions are built only for the
-    candidates no higher than the count-th lowest.  BudgetExceeded is raised,
-    before any walk, when h would pass MAX_PARAMETER_HEIGHT or the parameter
-    vectors at h pass MAX_PARAMETER_VECTORS.
+    Q^{d-1} with every coordinate of height at most h =
+    ``parameter_height(d, count)``, plus e_d (the one signed basis vector the
+    map misses).  Each image is the integer vector (2 b m, s - m^2) over
+    s + m^2, for w = b / m and s = |b|^2, and its height is read off with
+    integer gcds.  The candidates no higher than the count-th lowest are
+    sorted on integers, their coordinates brought over one common
+    denominator, and Fractions are built only for the points returned.
     """
     if d < 1 or count < 1:
         raise ValueError("need d >= 1 and count >= 1")
@@ -82,17 +106,7 @@ def enumerate_points(d: int, count: int) -> list[tuple[Fraction, ...]]:
         if count > 2:
             raise BudgetExceeded("S^0 has only two points")
         return [(Fraction(-1),), (Fraction(1),)][:count]
-    target = max(2 * count, count + 2 * d)
-    h = 1
-    vals = _parameters_up_to_height(h)
-    while len(vals) ** (d - 1) + 1 < target:
-        h += 1
-        if h > MAX_PARAMETER_HEIGHT:
-            raise BudgetExceeded("parameter height budget exhausted")
-        vals = _parameters_up_to_height(h)
-    if len(vals) ** (d - 1) > MAX_PARAMETER_VECTORS:
-        raise BudgetExceeded(f"{len(vals)}^{d - 1} parameter vectors exceed the "
-                             f"enumeration budget of {MAX_PARAMETER_VECTORS}")
+    vals = _parameters_up_to_height(parameter_height(d, count))
     candidates = []
     for w in itertools.product(vals, repeat=d - 1):
         m = math.lcm(*(q for _, q in w))
@@ -105,9 +119,10 @@ def enumerate_points(d: int, count: int) -> list[tuple[Fraction, ...]]:
         candidates.append((max(den // math.gcd(x, den) for x in xs), xs, den))
     candidates.append((1, [0] * (d - 1) + [1], 1))  # e_d
     cutoff = sorted(hgt for hgt, _, _ in candidates)[count - 1]
-    chosen = sorted((hgt, tuple(Fraction(x, den) for x in xs))
-                    for hgt, xs, den in candidates if hgt <= cutoff)
-    return [p for _, p in chosen[:count]]
+    kept = [c for c in candidates if c[0] <= cutoff]
+    common = math.lcm(*(den for _, _, den in kept))
+    kept.sort(key=lambda c: (c[0], [x * (common // c[2]) for x in c[1]]))
+    return [tuple(Fraction(x, den) for x in xs) for _, xs, den in kept[:count]]
 
 
 def approximate_point(d: int, target, eps: float,

@@ -62,6 +62,13 @@ def json_entry(parse, x):
         raise ValueError(f"bad entry {x!r}: {exc}") from None
 
 
+def json_number(x):
+    """x, unless it is a JSON boolean (which Python would read as 0 or 1)."""
+    if isinstance(x, bool):
+        raise ValueError("a boolean is not a number")
+    return x
+
+
 def tuple_from_json(data: dict) -> RotationTuple:
     """The rotation tuple a JSON object describes; any malformed structure
     raises ValueError.  Whether the matrices are rotations is left to
@@ -77,9 +84,11 @@ def tuple_from_json(data: dict) -> RotationTuple:
     if mode not in ("exact", "floating", "quad"):
         raise ValueError(f"unknown tuple mode {mode!r}")
     d = json_int(data, "dimension", 1)
-    dd = json_entry(int, data.get("sqrt")) if mode == "quad" else None
-    parse = {"exact": Fraction, "floating": float,
-             "quad": lambda x: QuadExt(Fraction(json_list(x, 2)[0]), Fraction(x[1]), dd)}[mode]
+    dd = json_int(data, "sqrt", 2) if mode == "quad" else None
+    parse = {"exact": lambda x: Fraction(json_number(x)),
+             "floating": lambda x: float(json_number(x)),
+             "quad": lambda x: QuadExt(Fraction(json_number(json_list(x, 2)[0])),
+                                       Fraction(json_number(x[1])), dd)}[mode]
     mats = [[[json_entry(parse, x) for x in json_list(row, d)] for row in json_list(m, d)]
             for m in json_list(data.get("matrices"))]
     return RotationTuple(dimension=d, matrices=mats, mode=mode, sqrt_d=dd)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .gegenbauer import evaluate, gegenbauer, harmonic_dimension, integer_form
-from .points import BudgetExceeded, enumerate_points, is_unit_point
+from .points import BudgetExceeded, enumerate_points, is_unit_point, parameter_height
 from .scalars import QuadExt
 
 ENUMERATION_ORDER_VERSION = 1
@@ -220,22 +220,54 @@ def build_zonal_basis(d: int, n: int, points=None,
     """Greedy rational-point basis of the degree-n harmonics on S^{d-1}.
 
     Candidate points are accepted exactly when they strictly increase the rank
-    of the zonal Gram matrix (positive exact Schur complement).  Results for
-    the default enumeration are cached per (d, n), optionally persisted under
-    $SPHEREDIV_CACHE_DIR.
+    of the zonal Gram matrix (positive exact Schur complement).  Without
+    ``points`` the candidates are the first budget_factor * N_n enumerated
+    points, and the result is ``build_zonal_bases(d, [n])[0]``.
     """
     if points is not None:
         return _greedy_select(d, n, points)
-    key = (d, n)
-    if key in _cache:
-        return _cache[key]
-    cached = _load_disk_cache(d, n)
-    if cached is None:
-        nn = harmonic_dimension(d, n)
-        cached = _greedy_select(d, n, enumerate_points(d, budget_factor * nn))
-        _store_disk_cache(cached)
-    _cache[key] = cached
-    return cached
+    return build_zonal_bases(d, [n], budget_factor)[0]
+
+
+def build_zonal_bases(d: int, degrees, budget_factor: int = DEFAULT_BUDGET_FACTOR
+                      ) -> list[ZonalBasis]:
+    """The default bases of the given degrees, in order.
+
+    Each comes from the in-memory cache, else from $SPHEREDIV_CACHE_DIR, else
+    is built and stored in both.  The degrees to build are grouped by the
+    parameter height their candidate count walks: one enumeration per group,
+    at the group's largest count, and each degree takes its own prefix (see
+    ``points.parameter_height``).  A degree past the enumeration budget raises
+    BudgetExceeded after the degrees before it are built, as a sweep of
+    single-degree calls would.
+    """
+    degrees = list(degrees)
+    found = {}
+    for n in degrees:
+        basis = _cache.get((d, n))
+        if basis is None:
+            basis = _load_disk_cache(d, n)
+        if basis is not None:
+            found[n] = _cache[(d, n)] = basis
+    groups: dict[int, list[int]] = {}
+    failure = None
+    for n in dict.fromkeys(n for n in degrees if n not in found):
+        try:
+            h = parameter_height(d, budget_factor * harmonic_dimension(d, n))
+        except BudgetExceeded as exc:
+            failure = exc
+            break
+        groups.setdefault(h, []).append(n)
+    for group in groups.values():
+        counts = [budget_factor * harmonic_dimension(d, n) for n in group]
+        pts = enumerate_points(d, max(counts))
+        for n, count in zip(group, counts):
+            basis = _greedy_select(d, n, pts[:count])
+            _store_disk_cache(basis)
+            found[n] = _cache[(d, n)] = basis
+    if failure is not None:
+        raise failure
+    return [found[n] for n in degrees]
 
 
 def clear_cache() -> None:

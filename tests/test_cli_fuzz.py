@@ -110,6 +110,22 @@ def test_tuple_commands_end_with_a_documented_exit_code(tmp_path_factory, case):
             assert code == 2, (argv, data)
 
 
+def test_non_integer_sqrt_and_boolean_entries_are_input_errors(tmp_path):
+    quad = tuple_to_json(z_axis_rotation_tuple([Fraction(1, 12), Fraction(5, 12)]))
+    flags = [[True, False], [False, True]]
+    cases = [dict(quad, sqrt=3.7), dict(quad, sqrt=True), dict(quad, sqrt="3"),
+             {"mode": "exact", "dimension": 2, "matrices": [flags]},
+             {"mode": "floating", "dimension": 2, "matrices": [flags]},
+             dict(quad, matrices=[[[[x, False] for x in row] for row in flags]],
+                  dimension=2)]
+    path = tmp_path / "tuple.json"
+    for data in cases:
+        path.write_text(json.dumps(data))
+        code = main(["obstruct", "--nmax", "1", "--tuple", str(path),
+                     "--output", str(tmp_path / "out.json")])
+        assert code == 2, data
+
+
 # -- circle classify --angles ----------------------------------------------------
 
 # denominators divide 24, so every r = 4 and rational r >= 5 search is on Z_24

@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -12,11 +15,12 @@ from spherediv.linalg import det
 from spherediv.obstruction import (WITNESS_RESIDUAL_TOL, WITNESS_SAMPLE_COUNT,
                                    _validate_witness, certify_degrees,
                                    circle_det, default_n_max, extract_witness,
-                                   l_matrix)
+                                   l_matrix, pair_det)
 from spherediv.points import (cayley_rotation, circle_rotation_tuple,
                               exact_tuple, floating_tuple, identity_tuple,
                               random_skew_matrix, z_axis_rotation_tuple)
-from spherediv.scalars import is_zero_scalar, scalar_to_float
+from spherediv.scalars import QuadExt, is_zero_scalar, scalar_to_float
+from spherediv.serialize import tuple_from_json
 from spherediv.zonal import build_zonal_basis
 from spherediv.synthesis import complete_rows, draw_upper_entries
 from oracles import (det_cofactor, float_l_matrix_by_terms, l_matrix_by_evaluate,
@@ -311,3 +315,85 @@ def test_l_matrix_refuses_circle_tuples():
     t = circle_rotation_tuple([Fraction(1, 2), Fraction(0)])
     with pytest.raises(ValueError):
         l_matrix(2, 1, t, build_zonal_basis(2, 1))
+
+
+def _assert_pair_det_is_det_l(t, n_max):
+    for n in range(1, n_max + 1):
+        basis = build_zonal_basis(t.dimension, n)
+        want = det(l_matrix(t.dimension, n, t, basis))
+        got = pair_det(t, n, basis)
+        assert (str(got), type(got)) == (str(want), type(want)), n
+        assert scalar_to_float(got) == scalar_to_float(want), n
+
+
+@pytest.mark.parametrize("d,n_max", [(3, 6), (4, 4)])
+def test_pair_det_matches_det_l_on_cayley_pairs(d, n_max):
+    rng = random.Random(23 + d)
+    for _ in range(3 if d == 3 else 2):
+        t = exact_tuple([cayley_rotation(random_skew_matrix(rng, d)) for _ in range(2)])
+        _assert_pair_det_is_det_l(t, n_max)
+
+
+def _block(c, s):
+    return [[c, -s], [s, c]]
+
+
+def _so4(first, second):
+    """The rotation acting by the 2 x 2 blocks first and second on the planes
+    (x1, x2) and (x3, x4)."""
+    zero = first[0][0] - first[0][0]
+    return [first[0] + [zero, zero], first[1] + [zero, zero],
+            [zero, zero] + second[0], [zero, zero] + second[1]]
+
+
+def test_pair_det_matches_det_l_on_special_pairs():
+    f = Fraction
+    g = cayley_rotation(random_skew_matrix(random.Random(5), 4))
+    quarter = _block(f(0), f(1))
+    pythagorean = _so4(_block(f(3, 5), f(4, 5)), _block(f(5, 13), f(-12, 13)))
+    half_turn = z_axis_rotation_tuple([f(1, 2), f(0)])
+    quad_one = linalg.identity_matrix(4, like=QuadExt(1, 0, 3))
+    # a sixth turn in one plane of R^4 and a quarter turn in the other
+    quad_both = _so4(_block(QuadExt(f(1, 2), 0, 3), QuadExt(0, f(1, 2), 3)),
+                     _block(QuadExt(0, 0, 3), QuadExt(1, 0, 3)))
+    cases = [
+        (z_axis_rotation_tuple([f(1, 12), f(5, 12)]), 5),
+        (z_axis_rotation_tuple([f(1, 6), f(2, 3)]), 5),
+        (z_axis_rotation_tuple([f(1, 12), f(1, 3)], d=4), 3),
+        (tuple_from_json({"mode": "quad", "dimension": 4, "sqrt": 3, "matrices": [
+            [[[str(x.a), str(x.b)] for x in row] for row in m]
+            for m in (quad_one, quad_both)]}), 3),
+        (exact_tuple([g, g]), 4),
+        (half_turn, 5),
+        (exact_tuple([g, linalg.mat_mul(g, _so4(_block(f(-1), f(0)), _block(f(1), f(0))))]), 3),
+        # -I, and isoclinic quarter turns (equal angles: a double root)
+        (exact_tuple([linalg.identity_matrix(4),
+                      [[f(-int(i == j)) for j in range(4)] for i in range(4)]]), 4),
+        (exact_tuple([g, linalg.mat_mul(g, _so4(quarter, quarter))]), 4),
+        (exact_tuple([pythagorean, linalg.mat_mul(pythagorean, _so4(quarter, quarter))]), 3),
+        # Pythagorean blocks with distinct angles
+        (exact_tuple([linalg.identity_matrix(4), pythagorean]), 4),
+        (exact_tuple([g, linalg.mat_mul(g, pythagorean)]), 3),
+    ]
+    assert cases[3][0].mode == "quad"
+    for t, n_max in cases:
+        _assert_pair_det_is_det_l(t, n_max)
+    # a half turn cancels every degree; g_1 = g_2 gives det(2I) = 2^N_n
+    assert certify_degrees(half_turn, n_max=5).witness_degrees == [1, 2, 3, 4, 5]
+    basis = build_zonal_basis(4, 2)
+    assert pair_det(exact_tuple([g, g]), 2, basis) == 2 ** basis.size * basis.gram_det
+
+
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference",
+                         "cayley.json")
+
+
+def test_certificates_of_the_reference_tuples_keep_their_digests():
+    with open(REFERENCE, encoding="utf-8") as fh:
+        entries = json.load(fh)["tuples"]
+    assert len(entries) == 36
+    for entry in entries:
+        report = certify_degrees(tuple_from_json(entry["tuple"]), n_max=entry["nmax"])
+        got = [(c.n, c.status, hashlib.sha256(c.det_value.encode()).hexdigest())
+               for c in report.degrees]
+        assert got == [(e["n"], e["status"], e["det_sha256"]) for e in entry["degrees"]]

@@ -11,8 +11,9 @@ from spherediv.obstruction import default_n_max
 from spherediv.points import (approximate_point, cayley_rotation,
                               circle_rotation_tuple, enumerate_points,
                               exact_tuple, floating_tuple, identity_tuple,
-                              is_unit_point, point_height, random_skew_matrix,
-                              validate_tuple, z_axis_rotation_tuple)
+                              is_unit_point, parameter_height, point_height,
+                              random_skew_matrix, validate_tuple,
+                              z_axis_rotation_tuple)
 from oracles import enumerate_points_by_pool
 
 
@@ -67,6 +68,27 @@ def test_enumerate_points_matches_pool_oracle(d):
             10 * harmonic_dimension(d, n) for n in range(1, default_n_max(d) + 1)]
     for count in counts:
         assert enumerate_points(d, count) == enumerate_points_by_pool(d, count), count
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_counts_of_one_parameter_height_give_prefixes(d):
+    counts = sorted(set(range(1, 40)) | {10 * harmonic_dimension(d, n)
+                                         for n in range(1, default_n_max(d) + 1)})
+    by_height = {}
+    for count in counts:
+        by_height.setdefault(parameter_height(d, count), []).append(count)
+    assert len(by_height) > 1
+    for group in by_height.values():
+        longest = enumerate_points(d, group[-1])
+        for count in group:
+            assert enumerate_points(d, count) == longest[:count], count
+
+
+def test_parameter_height_budget():
+    with pytest.raises(BudgetExceeded):
+        parameter_height(6, 10 ** 6)
+    with pytest.raises(ValueError):
+        parameter_height(1, 2)
 
 
 def test_approximate_axis_is_exact():

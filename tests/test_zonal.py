@@ -10,8 +10,8 @@ from spherediv.errors import BudgetExceeded
 from spherediv.gegenbauer import evaluate, gegenbauer, harmonic_dimension
 from spherediv.linalg import mat_vec
 from spherediv.points import cayley_rotation, enumerate_points, random_skew_matrix
-from spherediv.zonal import (ZonalBasis, build_zonal_basis, clear_cache, dot,
-                             gram_matrix, zonal_evaluate)
+from spherediv.zonal import (ZonalBasis, build_zonal_bases, build_zonal_basis,
+                             clear_cache, dot, gram_matrix, zonal_evaluate)
 from oracles import greedy_basis_by_inverse, sphere_average_s2
 
 
@@ -142,6 +142,39 @@ def test_default_bases_unchanged(monkeypatch):
     for (d, n), want in DEFAULT_BASIS_DIGESTS.items():
         text = json.dumps(build_zonal_basis(d, n).to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (d, n)
+
+
+@pytest.mark.parametrize("d,n_max", [(2, 8), (3, 8), (4, 5), (5, 3)])
+def test_batch_bases_equal_single_degree_bases(d, n_max, tmp_path, monkeypatch):
+    from spherediv.obstruction import default_n_max
+
+    assert n_max == default_n_max(d)
+    monkeypatch.delenv("SPHEREDIV_CACHE_DIR", raising=False)
+    want = []
+    for n in range(1, n_max + 1):
+        pts = enumerate_points(d, 10 * harmonic_dimension(d, n))
+        want.append(build_zonal_basis(d, n, points=pts).to_json())
+    clear_cache()
+    assert [b.to_json() for b in build_zonal_bases(d, range(1, n_max + 1))] == want
+    # some degrees from the disk cache, the rest built around them
+    monkeypatch.setenv("SPHEREDIV_CACHE_DIR", str(tmp_path))
+    clear_cache()
+    build_zonal_bases(d, range(2, n_max + 1, 2))
+    clear_cache()
+    assert [b.to_json() for b in build_zonal_bases(d, range(1, n_max + 1))] == want
+    assert len(list(tmp_path.glob("zonal-basis-*.json"))) == n_max
+    clear_cache()
+
+
+def test_batch_builds_the_degrees_before_a_budget_failure(monkeypatch):
+    monkeypatch.delenv("SPHEREDIV_CACHE_DIR", raising=False)
+    clear_cache()
+    with pytest.raises(BudgetExceeded):
+        build_zonal_bases(6, [1, 40])
+    from spherediv.zonal import _cache
+
+    assert (6, 1) in _cache and (6, 40) not in _cache
+    clear_cache()
 
 
 def test_cache_returns_same_object():
