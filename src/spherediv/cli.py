@@ -147,6 +147,8 @@ def cmd_tile(args) -> dict:
 def cmd_orbit(args) -> dict:
     rotations = _load_tuple(args.tuple, ("exact", "quad", "circle"))
     report = orbit(_parse_point(args.point), rotations, cap=args.cap)
+    if not report.finite:
+        raise BudgetExceeded(f"orbit closure exceeded the cap {args.cap}")
     if rotations.mode == "exact":
         points = [[format_fraction(c) for c in p] for p in report.points]
     else:
@@ -242,6 +244,14 @@ def cmd_synth_generic(args) -> dict:
 # -- parser ----------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """A budget flag's value: a cap, node budget or sample count."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after."""
@@ -302,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact-cover tilings of Z_N by shifted copies")
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--shifts", required=True, help='e.g. "2,5,3,0"')
-    p.add_argument("--node-budget", type=int, default=10 ** 7)
+    p.add_argument("--node-budget", type=non_negative_int, default=10 ** 7)
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("orbit", parents=[common],
                        help="breadth-first orbit of a point under the tuple")
     p.add_argument("--tuple", required=True)
     p.add_argument("--point", required=True, help='e.g. "1,0,0"')
-    p.add_argument("--cap", type=int, default=10 ** 4)
+    p.add_argument("--cap", type=non_negative_int, default=10 ** 4)
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("fixed-point-test", parents=[common],
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "obstruction for finite groups")
     p.add_argument("--generators", required=True, help="rotation tuple JSON file")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--cap", type=int, default=500)
+    p.add_argument("--cap", type=non_negative_int, default=500)
     p.set_defaults(func=cmd_euler_check)
 
     p = sub.add_parser("lift", parents=[common],
@@ -335,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-partition", parents=[common],
                        help="randomized check that lifted pieces partition the sphere")
     p.add_argument("--desc", required=True, help="division descriptor JSON file")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=non_negative_int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_partition)
 

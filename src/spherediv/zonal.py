@@ -9,16 +9,14 @@ M_ij = P_n(v_i . v_j) / N_n.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .gegenbauer import evaluate, gegenbauer, harmonic_dimension, integer_form
-from .points import BudgetExceeded, enumerate_points, is_unit_point, parameter_height
+from .points import BudgetExceeded, enumerate_points, parameter_height
 from .scalars import QuadExt
 
 ENUMERATION_ORDER_VERSION = 1
@@ -145,15 +143,6 @@ class ZonalBasis:
             "gram_det": f"{self.gram_det.numerator}/{self.gram_det.denominator}",
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ZonalBasis":
-        return cls(
-            d=data["d"], n=data["n"],
-            points=[tuple(Fraction(c) for c in p) for p in data["points"]],
-            gram=[[Fraction(c) for c in row] for row in data["gram"]],
-            gram_det=Fraction(data["gram_det"]),
-        )
-
 
 def _greedy_select(d: int, n: int, candidates) -> ZonalBasis:
     """Accept each candidate whose zonal function raises the rank of the Gram
@@ -206,7 +195,7 @@ def _greedy_select(d: int, n: int, candidates) -> ZonalBasis:
     if len(accepted) < nn:
         raise BudgetExceeded(
             f"point budget exhausted with {len(accepted)} of {nn} basis points "
-            f"for (d={d}, n={n}); raise the budget factor")
+            f"for (d={d}, n={n})")
     scale = c_den * nn
     powers = [q ** n for _, q in scaled]
     gram = [[Fraction(h_rows[max(i, j)][min(i, j)], scale * powers[i] * powers[j])
@@ -215,119 +204,54 @@ def _greedy_select(d: int, n: int, candidates) -> ZonalBasis:
     return ZonalBasis(d=d, n=n, points=accepted, gram=gram, gram_det=gram_det)
 
 
-def build_zonal_basis(d: int, n: int, points=None,
-                      budget_factor: int = DEFAULT_BUDGET_FACTOR) -> ZonalBasis:
+def build_zonal_basis(d: int, n: int, points=None) -> ZonalBasis:
     """Greedy rational-point basis of the degree-n harmonics on S^{d-1}.
 
     Candidate points are accepted exactly when they strictly increase the rank
     of the zonal Gram matrix (positive exact Schur complement).  Without
-    ``points`` the candidates are the first budget_factor * N_n enumerated
-    points, and the result is ``build_zonal_bases(d, [n])[0]``.
+    ``points`` the candidates are the first DEFAULT_BUDGET_FACTOR * N_n
+    enumerated points, and the result is ``build_zonal_bases(d, [n])[0]``.
     """
     if points is not None:
         return _greedy_select(d, n, points)
-    return build_zonal_bases(d, [n], budget_factor)[0]
+    return build_zonal_bases(d, [n])[0]
 
 
-def build_zonal_bases(d: int, degrees, budget_factor: int = DEFAULT_BUDGET_FACTOR
-                      ) -> list[ZonalBasis]:
+def build_zonal_bases(d: int, degrees) -> list[ZonalBasis]:
     """The default bases of the given degrees, in order.
 
-    Each comes from the in-memory cache, else from $SPHEREDIV_CACHE_DIR, else
-    is built and stored in both.  The degrees to build are grouped by the
-    parameter height their candidate count walks: one enumeration per group,
-    at the group's largest count, and each degree takes its own prefix (see
+    Each comes from the in-process cache, else is built from the enumeration
+    and cached.  The degrees to build are grouped by the parameter height
+    their candidate count walks: one enumeration per group, at the group's
+    largest count, and each degree takes its own prefix (see
     ``points.parameter_height``).  A degree past the enumeration budget raises
     BudgetExceeded after the degrees before it are built, as a sweep of
     single-degree calls would.
     """
     degrees = list(degrees)
-    found = {}
-    for n in degrees:
-        basis = _cache.get((d, n))
-        if basis is None:
-            basis = _load_disk_cache(d, n)
-        if basis is not None:
-            found[n] = _cache[(d, n)] = basis
     groups: dict[int, list[int]] = {}
     failure = None
-    for n in dict.fromkeys(n for n in degrees if n not in found):
+    for n in dict.fromkeys(n for n in degrees if (d, n) not in _cache):
         try:
-            h = parameter_height(d, budget_factor * harmonic_dimension(d, n))
+            h = parameter_height(d, DEFAULT_BUDGET_FACTOR * harmonic_dimension(d, n))
         except BudgetExceeded as exc:
             failure = exc
             break
         groups.setdefault(h, []).append(n)
     for group in groups.values():
-        counts = [budget_factor * harmonic_dimension(d, n) for n in group]
+        counts = [DEFAULT_BUDGET_FACTOR * harmonic_dimension(d, n) for n in group]
         pts = enumerate_points(d, max(counts))
         for n, count in zip(group, counts):
-            basis = _greedy_select(d, n, pts[:count])
-            _store_disk_cache(basis)
-            found[n] = _cache[(d, n)] = basis
+            _cache[(d, n)] = _greedy_select(d, n, pts[:count])
     if failure is not None:
         raise failure
-    return [found[n] for n in degrees]
+    return [_cache[(d, n)] for n in degrees]
 
 
 def clear_cache() -> None:
     _cache.clear()
 
 
-def _cache_path(d: int, n: int) -> str | None:
-    root = os.environ.get("SPHEREDIV_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, f"zonal-basis-d{d}-n{n}-v{ENUMERATION_ORDER_VERSION}.json")
-
-
-def _load_disk_cache(d: int, n: int) -> ZonalBasis | None:
-    """The cached basis for (d, n), or None when the file is missing or fails
-    any check (it is then rebuilt and overwritten)."""
-    path = _cache_path(d, n)
-    if not path or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict) or data.get("order_version") != ENUMERATION_ORDER_VERSION:
-            return None
-        basis = ZonalBasis.from_json(data)
-        return basis if _is_sound(basis, d, n) else None
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None
-
-
-def _is_sound(basis: ZonalBasis, d: int, n: int) -> bool:
-    """Do the stored points form a basis for (d, n) with the stored Gram data?
-
-    The Gram matrix is recomputed from the points and must equal the stored
-    one; its exact determinant must equal the stored, positive gram_det.
-    """
-    if (basis.d, basis.n) != (d, n) or len(basis.points) != harmonic_dimension(d, n):
-        return False
-    if any(len(p) != d or not is_unit_point(p) for p in basis.points):
-        return False
-    if basis.gram_det <= 0:
-        return False
-    gram = gram_matrix(d, n, basis.points)
-    return gram == basis.gram and linalg.det_rational(gram) == basis.gram_det
-
-
-def _store_disk_cache(basis: ZonalBasis) -> None:
-    """Write the basis under a temporary name, then rename it into place, so a
-    reader never sees a partly written file."""
-    path = _cache_path(basis.d, basis.n)
-    if not path:
-        return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(basis.to_json(), fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+# a stub kept for perfbench's tracer hook (zonal.basis_from_disk); nothing calls it
+def _load_disk_cache(d: int, n: int) -> None:
+    return None

@@ -122,6 +122,23 @@ def test_tile_budget_exit_code(capsys):
                  "--node-budget", "2"]) == 3
 
 
+def test_negative_budgets_are_input_errors(tmp_path, capsys):
+    path = write_tuple(tmp_path, z_axis_rotation_tuple([F(1, 4), F(3, 4)], d=3))
+    desc = str(tmp_path / "desc.json")
+    assert main(["lift", "--base-angles", "1/3,2/3,0", "--target-dim", "4",
+                 "--output", desc]) == 0
+    for argv in (["tile", "--modulus", "12", "--shifts", "2,5,3,0", "--node-budget", "-1"],
+                 ["orbit", "--tuple", path, "--point", "1,0,0", "--cap", "-3"],
+                 ["euler-check", "--generators", path, "--r", "3", "--cap", "-1"],
+                 ["verify-partition", "--desc", desc, "--samples", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must be non-negative, got {argv[-1]}" in captured.err
+
+
 def test_orbit_command(tmp_path, capsys):
     path = write_tuple(tmp_path, z_axis_rotation_tuple([F(1, 4), F(0)], d=3))
     code, out = run(capsys, ["orbit", "--tuple", path, "--point", "1,0,0",
@@ -129,6 +146,17 @@ def test_orbit_command(tmp_path, capsys):
     assert code == 0
     data = json.loads(out)
     assert data["finite"] is True and data["size"] == 4
+
+
+def test_orbit_past_the_cap_is_an_exhausted_budget(tmp_path, capsys):
+    # the orbit of e_1 under the 1/4 and 3/4 turns about z has 4 points
+    path = write_tuple(tmp_path, z_axis_rotation_tuple([F(1, 4), F(3, 4)], d=3))
+    assert main(["orbit", "--tuple", path, "--point", "1,0,0", "--cap", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "orbit closure exceeded the cap 2" in captured.err
+    code, out = run(capsys, ["orbit", "--tuple", path, "--point", "1,0,0", "--cap", "4"])
+    assert code == 0 and json.loads(out)["size"] == 4
 
 
 def test_fixed_point_test_command(tmp_path, capsys):
@@ -547,9 +575,8 @@ print(json.dumps(seen))
 
 def _probe_numpy(commands):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {k: v for k, v in os.environ.items() if k != "SPHEREDIV_CACHE_DIR"}
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
-                          env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
                           timeout=120, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 

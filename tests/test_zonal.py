@@ -10,8 +10,8 @@ from spherediv.errors import BudgetExceeded
 from spherediv.gegenbauer import evaluate, gegenbauer, harmonic_dimension
 from spherediv.linalg import mat_vec
 from spherediv.points import cayley_rotation, enumerate_points, random_skew_matrix
-from spherediv.zonal import (ZonalBasis, build_zonal_bases, build_zonal_basis,
-                             clear_cache, dot, gram_matrix, zonal_evaluate)
+from spherediv.zonal import (build_zonal_bases, build_zonal_basis, clear_cache, dot,
+                             gram_matrix, zonal_evaluate)
 from oracles import greedy_basis_by_inverse, sphere_average_s2
 
 
@@ -118,8 +118,8 @@ def test_basis_matches_inverse_tracking_oracle(d, n):
 
 
 # sha256 of the canonical JSON of every default basis up to default_n_max(d),
-# first 16 hex digits; a change here invalidates existing disk caches and
-# needs a new ENUMERATION_ORDER_VERSION
+# first 16 hex digits; a change here changes the points `basis` prints and
+# needs a new ENUMERATION_ORDER_VERSION (its `order_version`)
 DEFAULT_BASIS_DIGESTS = {
     (2, 1): "6367836bad66b860", (2, 2): "83713eb69da4ecdf", (2, 3): "58d886e1f4e3c14a",
     (2, 4): "c56bde1418711908", (2, 5): "49574060a73814d4", (2, 6): "fc02ae5948edb7cc",
@@ -133,11 +133,10 @@ DEFAULT_BASIS_DIGESTS = {
 }
 
 
-def test_default_bases_unchanged(monkeypatch):
+def test_default_bases_unchanged():
     from spherediv.zonal import ENUMERATION_ORDER_VERSION
 
     assert ENUMERATION_ORDER_VERSION == 1
-    monkeypatch.delenv("SPHEREDIV_CACHE_DIR", raising=False)
     clear_cache()
     for (d, n), want in DEFAULT_BASIS_DIGESTS.items():
         text = json.dumps(build_zonal_basis(d, n).to_json(), sort_keys=True)
@@ -145,29 +144,20 @@ def test_default_bases_unchanged(monkeypatch):
 
 
 @pytest.mark.parametrize("d,n_max", [(2, 8), (3, 8), (4, 5), (5, 3)])
-def test_batch_bases_equal_single_degree_bases(d, n_max, tmp_path, monkeypatch):
+def test_batch_bases_equal_single_degree_bases(d, n_max):
     from spherediv.obstruction import default_n_max
 
     assert n_max == default_n_max(d)
-    monkeypatch.delenv("SPHEREDIV_CACHE_DIR", raising=False)
     want = []
     for n in range(1, n_max + 1):
         pts = enumerate_points(d, 10 * harmonic_dimension(d, n))
         want.append(build_zonal_basis(d, n, points=pts).to_json())
     clear_cache()
     assert [b.to_json() for b in build_zonal_bases(d, range(1, n_max + 1))] == want
-    # some degrees from the disk cache, the rest built around them
-    monkeypatch.setenv("SPHEREDIV_CACHE_DIR", str(tmp_path))
-    clear_cache()
-    build_zonal_bases(d, range(2, n_max + 1, 2))
-    clear_cache()
-    assert [b.to_json() for b in build_zonal_bases(d, range(1, n_max + 1))] == want
-    assert len(list(tmp_path.glob("zonal-basis-*.json"))) == n_max
     clear_cache()
 
 
-def test_batch_builds_the_degrees_before_a_budget_failure(monkeypatch):
-    monkeypatch.delenv("SPHEREDIV_CACHE_DIR", raising=False)
+def test_batch_builds_the_degrees_before_a_budget_failure():
     clear_cache()
     with pytest.raises(BudgetExceeded):
         build_zonal_bases(6, [1, 40])
@@ -182,70 +172,35 @@ def test_cache_returns_same_object():
     assert build_zonal_basis(3, 1) is build_zonal_basis(3, 1)
 
 
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("SPHEREDIV_CACHE_DIR", str(tmp_path))
-    clear_cache()
-    b1 = build_zonal_basis(2, 3)
-    clear_cache()
-    b2 = build_zonal_basis(2, 3)
-    assert b1.points == b2.points and b1.gram == b2.gram
-    assert list(tmp_path.glob("zonal-basis-*.json"))
-    monkeypatch.delenv("SPHEREDIV_CACHE_DIR")
-    clear_cache()
-
-
-def _store_gram_of_points(data, with_det: bool):
-    # keep the stored Gram data consistent with the edited points, so that the
-    # check under test is the only one that can reject the file
+def test_cache_dir_variable_has_no_effect(tmp_path, monkeypatch, capsys):
+    # a sound but non-canonical d = 3, n = 1 basis file, named as the retired
+    # disk cache named it: the printed det must still carry the enumeration's
+    # det M_1, and the file must be neither read nor rewritten
+    from spherediv.cli import main
     from spherediv.linalg import det_rational
 
-    pts = [tuple(Fraction(c) for c in p) for p in data["points"]]
-    gram = gram_matrix(3, 2, pts)
-    data["gram"] = [[f"{c.numerator}/{c.denominator}" for c in row] for row in gram]
-    if with_det:
-        data["gram_det"] = str(det_rational(gram))
-
-
-def _non_unit_point(data):
-    data["points"][1] = [str(2 * Fraction(c)) for c in data["points"][1]]
-    _store_gram_of_points(data, with_det=True)
-
-
-def _duplicate_point(data):
-    data["points"][2] = data["points"][1]
-    _store_gram_of_points(data, with_det=False)
-
-
-def _edited_gram_det(data):
-    data["gram_det"] = str(2 * Fraction(data["gram_det"]))
-
-
-@pytest.mark.parametrize("corrupt", [_non_unit_point, _duplicate_point, _edited_gram_det])
-def test_disk_cache_rejects_and_rebuilds_corrupted_file(tmp_path, monkeypatch, corrupt):
-    from spherediv.zonal import _load_disk_cache
-
-    monkeypatch.setenv("SPHEREDIV_CACHE_DIR", str(tmp_path))
+    pts = [unit(3, 0), unit(3, 1), (Fraction(0), Fraction(3, 5), Fraction(4, 5))]
+    gram = gram_matrix(3, 1, pts)
+    planted = {"d": 3, "n": 1, "order_version": 1,
+               "points": [[str(c) for c in p] for p in pts],
+               "gram": [[str(c) for c in row] for row in gram],
+               "gram_det": str(det_rational(gram))}
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "zonal-basis-d3-n1-v1.json").write_text(json.dumps(planted))
+    before = {p.name: p.read_bytes() for p in cache.iterdir()}
+    turn = {"mode": "exact", "dimension": 3, "matrices": [
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        [["3/5", "-4/5", "0"], ["4/5", "3/5", "0"], ["0", "0", "1"]]]}
+    path = tmp_path / "turn.json"
+    path.write_text(json.dumps(turn))
+    monkeypatch.setenv("SPHEREDIV_CACHE_DIR", str(cache))
     clear_cache()
-    good = build_zonal_basis(3, 2)
-    (path,) = tmp_path.glob("zonal-basis-d3-n2-*.json")
-    data = json.loads(path.read_text())
-    corrupt(data)
-    path.write_text(json.dumps(data))
-    assert _load_disk_cache(3, 2) is None
+    assert main(["obstruct", "--tuple", str(path), "--nmax", "1"]) == 0
+    (degree,) = json.loads(capsys.readouterr().out)["report"]["degrees"]
+    assert degree["det"] == "32/135"
+    assert {p.name: p.read_bytes() for p in cache.iterdir()} == before
     clear_cache()
-    rebuilt = build_zonal_basis(3, 2)
-    assert rebuilt.points == good.points and rebuilt.gram_det == good.gram_det
-    assert json.loads(path.read_text()) == good.to_json()
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left
-    clear_cache()
-
-
-def test_json_round_trip():
-    b = build_zonal_basis(3, 2)
-    again = ZonalBasis.from_json(b.to_json())
-    assert again.points == b.points
-    assert again.gram == b.gram
-    assert again.gram_det == b.gram_det
 
 
 def test_rotation_equivariance_exact():
