@@ -4,10 +4,10 @@ under tuples of rotations.
 A sphere is divisible by rotations g_1, ..., g_r when some subset has
 translates under them partitioning the sphere.  This package computes exact
 determinant certificates ruling out even fractional measurable divisions in
-low harmonic degrees, constructs explicit arc divisions of the circle for up
-to four rotations, computes combinatorial obstructions for finite rotation
-groups (Euler characteristic, finite orbits), and lifts circle divisions to
-higher-dimensional spheres with randomized verification.
+low harmonic degrees (near the identity, below an exact bound), classifies
+circle tuples of any size, computes combinatorial obstructions for finite
+rotation groups (Euler characteristic, finite orbits), and lifts circle
+divisions to higher-dimensional spheres with randomized verification.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +18,7 @@ from .errors import BudgetExceeded
 from .gegenbauer import RationalPolynomial, evaluate, gegenbauer, \
     harmonic_dimension, normalized_moment, weighted_inner_product
 from .obstruction import FractionalWitness, ObstructionReport, certify_degrees, \
-    extract_witness, l_matrix
+    extract_witness, l_matrix, near_identity_certificate
 from .points import RotationTuple, approximate_point, cayley_rotation, \
     circle_rotation_tuple, enumerate_points, exact_tuple, floating_tuple, \
     identity_tuple, validate_tuple, z_axis_rotation_tuple

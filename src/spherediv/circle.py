@@ -12,8 +12,7 @@ independent offsets force groupwise cancellation.
 Verdicts: "constructive" comes with an explicit arc set whose translates
 partition the circle; "fractional_only" means a non-constant fractional
 division exists (witness degree attached) but no measurable one; "not_fractional"
-means not even a fractional division exists; r >= 5 tuples with formal parts
-are honestly reported "heuristic_unknown".
+means not even a fractional division exists.
 """
 
 from __future__ import annotations
@@ -180,7 +179,7 @@ def arc_cuts(turns, arcs: ArcSet) -> CutTable:
 
 @dataclass
 class CircleClassification:
-    verdict: str  # constructive | fractional_only | not_fractional | heuristic_unknown
+    verdict: str  # constructive | fractional_only | not_fractional
     r: int
     arcs: ArcSet | None = None
     witness_degree: int | None = None
@@ -320,7 +319,9 @@ def classify(angles) -> CircleClassification:
     rational tuple divides the circle measurably exactly when Z_N tiles by
     the shifts k_i, and a tiling A gives the arcs of the cells a/N, a in A:
     A = {0, r, 2r, ...} for r <= 3, the exact-cover search for r >= 4.
-    Formal differences leave r = 4 fractional only and r >= 5 undecided.
+    A formal difference leaves fractional divisions only: offsets cancel only
+    within a class R_c sharing a formal part, so sum_{rho in R_c} 1_A(x - rho)
+    has no Fourier mass off 0, and is a.e. |R_c| / r in (0, 1), not an integer.
     """
     ang = _as_angles(angles)
     r = len(ang)
@@ -338,12 +339,8 @@ def classify(angles) -> CircleClassification:
                                     witness_degree=order // r, reduced_turns=turns)
     if r == 4:
         n0, notes = _pairing_degree(s), []
-    elif rational:
-        n0, notes = fractional_test(ang), [_REDUCTION_NOTE]
     else:
-        return CircleClassification(
-            verdict="heuristic_unknown", r=r, witness_degree=fractional_test(ang),
-            notes=["r >= 5 with transcendental offsets is outside the decided range"])
+        n0, notes = fractional_test(ang), [_REDUCTION_NOTE] if rational else []
     if n0 is None:
         return CircleClassification(verdict="not_fractional", r=r, notes=notes)
     if not rational:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -26,9 +27,9 @@ from .euler import divisibility_obstruction, euler_check, face_lattice, \
     orbit_polytope
 from .gegenbauer import evaluate as poly_evaluate, gegenbauer, harmonic_dimension
 from .lifting import descriptor_from_json, lift_from_circle, verify_partition
-from .obstruction import certify_degrees, default_n_max, extract_witness, \
-    obstructed_degree_error
+from .obstruction import certify_degrees, extract_witness, obstructed_degree_error
 from .points import enumerate_points, validate_tuple
+from .scalars import scalar_to_float
 from .serialize import format_fraction, point_to_json, tuple_from_json, \
     tuple_to_json
 from .tiling import TileInstance, solve as tile_solve
@@ -59,10 +60,10 @@ def _load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-ALL_MODES = ("exact", "quad", "floating", "circle")
+EXACT_MODES = ("exact", "quad", "circle")
 
 
-def _load_tuple(path: str, modes=ALL_MODES):
+def _load_tuple(path: str, modes=EXACT_MODES):
     """The validated tuple in the file; a mode outside ``modes`` (those the
     command decides) is an input error."""
     t = tuple_from_json(_load_json(path))
@@ -110,15 +111,12 @@ def cmd_obstruct(args) -> dict:
     if args.dim is not None and args.dim != rotations.dimension:
         raise ValueError(f"--dim {args.dim} does not match tuple dimension "
                          f"{rotations.dimension}")
-    if args.exact and not rotations.is_exact:
-        raise ValueError("--exact requested but the tuple is floating-point")
-    n_max = args.nmax if args.nmax is not None else default_n_max(rotations.dimension)
-    report = certify_degrees(rotations, n_max=n_max)
+    report = certify_degrees(rotations, n_max=args.nmax)
     out = _envelope(args, report=report.to_json())
     if args.witness is not None:
-        # an exact degree the sweep already decided as obstructed has no
-        # witness: fail before building L again
-        if rotations.is_exact and 1 <= args.witness <= n_max \
+        # a degree the sweep already decided as obstructed has no witness:
+        # fail before building L again
+        if 1 <= args.witness <= report.n_max \
                 and report.degrees[args.witness - 1].status == "obstructed":
             raise obstructed_degree_error(args.witness)
         out["witness"] = extract_witness(rotations, args.witness).to_json()
@@ -145,22 +143,16 @@ def cmd_tile(args) -> dict:
 
 
 def cmd_orbit(args) -> dict:
-    rotations = _load_tuple(args.tuple, ("exact", "quad", "circle"))
+    rotations = _load_tuple(args.tuple)
     report = orbit(_parse_point(args.point), rotations, cap=args.cap)
     if not report.finite:
         raise BudgetExceeded(f"orbit closure exceeded the cap {args.cap}")
     if rotations.mode == "exact":
         points = [[format_fraction(c) for c in p] for p in report.points]
     else:
-        points = [[_to_float(c) for c in p] for p in report.points]
+        points = [[scalar_to_float(c) for c in p] for p in report.points]
     return _envelope(args, finite=report.finite, size=report.size, cap=report.cap,
                      points=points)
-
-
-def _to_float(c):
-    from .scalars import scalar_to_float
-
-    return scalar_to_float(c)
 
 
 def cmd_fixed_point_test(args) -> dict:
@@ -230,8 +222,7 @@ def cmd_synth_generic(args) -> dict:
         raise ValueError("upper entries exceed the schedule bounds")
     completion = complete_rows(upper)
     diagnostics = genericity_diagnostics(completion.rotations,
-                                         word_length_cap=args.word_cap,
-                                         n_max=args.nmax)
+                                         word_length_cap=args.word_cap)
     return _envelope(args,
                      schedule=epsilon_schedule(upper.dimension),
                      tuple=tuple_to_json(completion.rotations),
@@ -290,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int)
     p.add_argument("--tuple", required=True, help="rotation tuple JSON file")
     p.add_argument("--nmax", type=int)
-    p.add_argument("--exact", action="store_true",
-                   help="require an exact-mode tuple")
     p.add_argument("--witness", type=int,
                    help="also extract the witness at this degree")
     p.set_defaults(func=cmd_obstruct)
@@ -339,6 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", parents=[common],
                        help="lift a circle division to a higher-dimensional sphere")
     p.add_argument("--base-angles", required=True)
+    # an angle list may start with a minus sign ("-1/3,0"); argparse reads a
+    # dash-led word that names no option as a value only if this matches it
+    p._negative_number_matcher = pc._negative_number_matcher = \
+        pv._negative_number_matcher = re.compile("-")
     p.add_argument("--target-dim", type=int, required=True)
     p.set_defaults(func=cmd_lift)
 
@@ -357,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--upper", help="JSON file with prescribed upper entries")
     p.add_argument("--word-cap", type=int, default=6)
-    p.add_argument("--nmax", type=int, default=6)
     p.set_defaults(func=cmd_synth_generic)
 
     return parser

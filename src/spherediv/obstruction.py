@@ -16,7 +16,8 @@ that vanishes exactly when the rotated unit vectors cancel, so the degree is
 decided by the cyclotomic zero test.  For exact and quad pairs in d = 3 and
 4 it is det(I + rho_n(g_1^T g_2)), a product over the torus weights of H_n
 in the cosines of the rotation angles (``pair_det``).  Every other tuple, and
-every witness, goes through L.
+every witness, goes through L.  Floating tuples get no certificate, except
+the determinant-free ``near_identity_certificate`` for tuples near I.
 """
 
 from __future__ import annotations
@@ -29,12 +30,12 @@ from fractions import Fraction
 
 from . import linalg
 from .cyclotomic import CycloNum, unit_vectors_sum_is_zero
-from .gegenbauer import gegenbauer, harmonic_dimension
+from .gegenbauer import gegenbauer
 from .points import RotationTuple, validate_tuple
-from .scalars import QuadExt, is_zero_scalar, scalar_to_float
+from .scalars import QuadExt, is_zero_scalar, scalar_to_float, sign_scalar
+from .serialize import format_fraction
 from .zonal import ZonalBasis, build_zonal_bases, build_zonal_basis, pairing_matrix
 
-FLOAT_SINGULAR_COEFF = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-9
 WITNESS_SAMPLE_COUNT = 1000
 
@@ -48,39 +49,11 @@ def default_n_max(d: int) -> int:
 
 
 def l_matrix(d: int, n: int, rotations: RotationTuple, basis: ZonalBasis):
-    """Entry (i, j) = (1/N_n) sum_s P_n(v_i . (g_s v_j)).
-
-    Exact and quad tuples are evaluated on integers by ``zonal.pairing_matrix``,
-    floating tuples in numpy floats, a column at a time: one dot product
-    v_i . (g_s v_j) per entry, and P_n by Horner's rule with float
-    coefficients over the column, the same float operations as evaluating
-    the rational P_n at each float.  A circle tuple has no L matrix here: its
-    determinant has the closed form ``circle_det``.
-    """
-    if rotations.mode in ("exact", "quad"):
-        return pairing_matrix(d, n, basis.points, rotations.matrices)
-    if rotations.mode != "floating":
+    """Entry (i, j) = (1/N_n) sum_s P_n(v_i . (g_s v_j)), on integers by
+    ``zonal.pairing_matrix``; a circle tuple has ``circle_det`` instead."""
+    if rotations.mode not in ("exact", "quad"):
         raise ValueError(f"no L matrix for {rotations.mode} tuples")
-    import numpy as np
-
-    nn = harmonic_dimension(d, n)
-    coeffs = [float(c) for c in gegenbauer(d, n).coefficients]
-    mats = [np.array(m, dtype=float) for m in rotations.matrices]
-    vecs = [np.array([float(c) for c in p]) for p in basis.points]
-    k = len(vecs)
-    out = np.zeros((k, k))
-    for j in range(k):
-        column = 0
-        for w in (m @ vecs[j] for m in mats):
-            # a matrix-vector product V w may sum in another order than the
-            # dot products and change the last bits
-            t = np.array([float(v @ w) for v in vecs])
-            acc = np.full(k, coeffs[-1])
-            for c in reversed(coeffs[:-1]):
-                acc = acc * t + c
-            column = column + acc
-        out[:, j] = column
-    return out / nn
+    return pairing_matrix(d, n, basis.points, rotations.matrices)
 
 
 def circle_det(rotations: RotationTuple, n: int, basis: ZonalBasis) -> CycloNum:
@@ -206,9 +179,8 @@ def _so4_pair_product(h, trace, n: int):
 class DegreeCertificate:
     n: int
     status: str  # "obstructed" | "witness_exists"
-    det_value: str | float
+    det_value: str
     det_float: float
-    note: str = ""
 
 
 @dataclass
@@ -216,25 +188,21 @@ class ObstructionReport:
     dimension: int
     r: int
     mode: str
-    exact: bool
     n_max: int
     degrees: list[DegreeCertificate]
     disclaimer: str
     witness_degrees: list[int] = field(default_factory=list)
 
-    @property
-    def all_obstructed(self) -> bool:
-        return not self.witness_degrees
-
     def to_json(self) -> dict:
+        # "exact" and "note" are constant: floating tuples have no certificate
         return {
             "dimension": self.dimension,
             "r": self.r,
             "mode": self.mode,
-            "exact": self.exact,
+            "exact": True,
             "n_max": self.n_max,
             "degrees": [{"n": c.n, "status": c.status, "det": c.det_value,
-                         "det_float": c.det_float, "note": c.note}
+                         "det_float": c.det_float, "note": ""}
                         for c in self.degrees],
             "witness_degrees": self.witness_degrees,
             "disclaimer": self.disclaimer,
@@ -245,35 +213,21 @@ def _certify_one(rotations: RotationTuple, n: int, basis: ZonalBasis) -> DegreeC
     if rotations.mode == "circle":
         # det L_n = det M_n |lambda_n|^2 with det M_n > 0, so the zero test
         # of lambda_n decides the degree and circle_det only gives the value
-        if unit_vectors_sum_is_zero([n * t for t in rotations.turns]):
-            return DegreeCertificate(n, "witness_exists", "0", 0.0)
-        detv = circle_det(rotations, n, basis)
-        return DegreeCertificate(n, "obstructed", str(detv), scalar_to_float(detv))
-    if rotations.mode == "floating":
-        import numpy as np
-
-        lm = l_matrix(rotations.dimension, n, rotations, basis)
-        detf = float(np.linalg.det(lm))
-        # norm floored at 1: an all-tiny matrix is as singular as they
-        # come, and a bound proportional to norm^size would underflow
-        # below the determinant's own rounding noise
-        norm = max(1.0, float(np.max(np.abs(lm))) if lm.size else 0.0)
-        threshold = FLOAT_SINGULAR_COEFF * norm ** basis.size
-        status = "witness_exists" if abs(detf) <= threshold else "obstructed"
-        return DegreeCertificate(n, status, detf, detf,
-                                 note="inexact - rerun in exact mode")
-    if rotations.r == 2 and rotations.dimension in (3, 4):
+        cancels = unit_vectors_sum_is_zero([n * t for t in rotations.turns])
+        detv = 0 if cancels else circle_det(rotations, n, basis)
+    elif rotations.r == 2 and rotations.dimension in (3, 4):
         detv = pair_det(rotations, n, basis)
     else:
         detv = linalg.det(l_matrix(rotations.dimension, n, rotations, basis))
-    zero = is_zero_scalar(detv)
-    det_float = 0.0 if zero else scalar_to_float(detv)
-    status = "witness_exists" if zero else "obstructed"
-    return DegreeCertificate(n, status, "0" if zero else str(detv), det_float)
+    if is_zero_scalar(detv):
+        return DegreeCertificate(n, "witness_exists", "0", 0.0)
+    return DegreeCertificate(n, "obstructed", str(detv), scalar_to_float(detv))
 
 
 def certify_degrees(rotations: RotationTuple, n_max: int | None = None) -> ObstructionReport:
-    """Sweep degrees 1..n_max; exact-mode results are rigorous certificates."""
+    """Sweep degrees 1..n_max exactly; a floating tuple is refused."""
+    if not rotations.is_exact:
+        raise ValueError("certificates need an exact tuple, not a floating one")
     report = validate_tuple(rotations)
     if not report.ok:
         raise ValueError("invalid rotation tuple: " + "; ".join(report.issues))
@@ -291,12 +245,73 @@ def certify_degrees(rotations: RotationTuple, n_max: int | None = None) -> Obstr
         disclaimer = (f"no non-constant fractional division supported in degrees "
                       f"1..{n_max}; degrees above {n_max} are not covered by this "
                       f"certificate")
-    if rotations.mode == "floating":
-        disclaimer += " (floating-point run: not a rigorous certificate)"
     return ObstructionReport(
         dimension=rotations.dimension, r=rotations.r, mode=rotations.mode,
-        exact=rotations.is_exact, n_max=n_max, degrees=degrees,
-        disclaimer=disclaimer, witness_degrees=witness_degrees)
+        n_max=n_max, degrees=degrees, disclaimer=disclaimer,
+        witness_degrees=witness_degrees)
+
+
+PI_HALF_UPPER = Fraction(355, 226)  # 355/113 exceeds pi by less than 3e-7
+SQRT_SCALE = 1 << 64  # a square-root bound is at most 1/SQRT_SCALE above the root
+
+
+@dataclass
+class NearIdentityCertificate:
+    """Degrees 1..obstructed_through are obstructed (None: every degree)."""
+
+    distance_bounds: list[Fraction]  # >= ||Q_i - I||_F for each rotation Q_i
+    obstructed_through: int | None
+
+    def to_json(self) -> dict:
+        return {"obstructed_through": self.obstructed_through,
+                "distance_bounds": [format_fraction(b) for b in self.distance_bounds]}
+
+
+def _sqrt_upper(s) -> Fraction:
+    """A rational u >= sqrt(s) for a Fraction or QuadExt s >= 0; u * u >= s is checked."""
+    if is_zero_scalar(s):
+        return Fraction(0)
+    if isinstance(s, QuadExt):  # D / u <= sqrt(D) <= u bound a + b sqrt(D) above
+        u = _sqrt_upper(Fraction(s.d))
+        s_up = s.a + s.b * (u if s.b > 0 else s.d / u)
+    else:
+        s_up = s
+    u = Fraction(math.isqrt(math.floor(s_up * SQRT_SCALE ** 2)) + 1, SQRT_SCALE)
+    if u * u < s:
+        raise ArithmeticError("a square-root bound failed its exact check")
+    return u
+
+
+def near_identity_certificate(rotations: RotationTuple) -> NearIdentityCertificate:
+    """Degrees obstructed because every rotation is near the identity.
+
+    Degree n is obstructed when n (pi/2) sum_s ||Q_s - I||_F < r, Q_s in
+    SO(d).  Proof: rho_n(Q) is unitary, with the eigenvalues e^{i<w, theta>}
+    of degree-n monomials in complex coordinates adapted to Q's rotation
+    angles theta, |w|_1 <= n; by |e^{ix} - 1| <= |x| and Jordan's
+    sin(x/2) >= x/pi on [0, pi], ||rho_n(Q) - I|| <= n max|theta_k| <=
+    n (pi/2) ||Q - I||_F.  So T_n = sum_s rho_n(Q_s) is closer than r to r I,
+    invertible, and det L_n != 0.  Each matrix g is read exactly (a float as
+    its dyadic rational) with det g > 0, and Q = g (g^T g)^{-1/2}: singular
+    values s of g have |s - 1| <= |s^2 - 1|, so ||g - I||_F + ||g^T g - I||_F
+    >= ||Q - I||_F.  N is the largest degree with N (355/226) sum b < r for
+    these bounds b; 0 certifies none, None (every b = 0) every degree.
+    """
+    if rotations.mode == "circle":
+        raise ValueError("the near-identity bound needs matrices with real entries")
+    eye = linalg.identity_matrix(rotations.dimension)
+    bounds = []
+    for i, m in enumerate(rotations.matrices):
+        g = m if rotations.is_exact else [[Fraction(x) for x in row] for row in m]
+        if sign_scalar(linalg.det(g)) <= 0:
+            raise ValueError(f"matrix {i} has determinant <= 0: no rotation is near it")
+        off_identity, polar = (sum((x * x for row in linalg.mat_sub(a, eye) for x in row),
+                                   Fraction(0))
+                               for a in (g, linalg.mat_mul(linalg.transpose(g), g)))
+        bounds.append(_sqrt_upper(off_identity) + _sqrt_upper(polar))
+    total = sum(bounds, Fraction(0))
+    through = None if total == 0 else math.ceil(rotations.r / (PI_HALF_UPPER * total)) - 1
+    return NearIdentityCertificate(bounds, through)
 
 
 @dataclass

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .cyclotomic import CycloNum
 from .errors import BudgetExceeded
-from .scalars import QuadExt, is_zero_scalar, scalar_to_float
+from .scalars import QuadExt, is_zero_scalar
 
 ORTHONORMALITY_TOL = 1e-10
 DETERMINANT_TOL = 1e-8
@@ -224,13 +224,7 @@ class ValidationReport:
     max_determinant_residual: float = 0.0
 
 
-def _float_matrix(m):
-    return [[scalar_to_float(x) for x in row] for row in m]
-
-
-def validate_tuple(t: RotationTuple,
-                   orthonormality_tol: float = ORTHONORMALITY_TOL,
-                   determinant_tol: float = DETERMINANT_TOL) -> ValidationReport:
+def validate_tuple(t: RotationTuple) -> ValidationReport:
     """Check exact orthonormality and det = 1 (exact and quad modes) or
     residual tolerances (floating mode); a circle tuple is accepted on its
     turns.  Failures are reported, not raised."""
@@ -263,7 +257,7 @@ def validate_tuple(t: RotationTuple,
         else:
             import numpy as np
 
-            a = np.array(_float_matrix(m))
+            a = np.array(m, dtype=float)
             if not np.all(np.isfinite(a)):
                 issues.append(f"matrix {idx}: non-finite entry")
                 continue
@@ -271,12 +265,12 @@ def validate_tuple(t: RotationTuple,
             dres = abs(float(np.linalg.det(a)) - 1.0)
             max_orth = max(max_orth, orth)
             max_det = max(max_det, dres)
-            if orth > orthonormality_tol:
+            if orth > ORTHONORMALITY_TOL:
                 issues.append(f"matrix {idx}: orthonormality residual {orth:.3e} "
-                              f"exceeds {orthonormality_tol}")
-            if dres > determinant_tol:
+                              f"exceeds {ORTHONORMALITY_TOL}")
+            if dres > DETERMINANT_TOL:
                 issues.append(f"matrix {idx}: determinant residual {dres:.3e} "
-                              f"exceeds {determinant_tol}")
+                              f"exceeds {DETERMINANT_TOL}")
     return ValidationReport(ok=not issues, mode=t.mode, issues=issues,
                             max_orthogonality_residual=max_orth,
                             max_determinant_residual=max_det)

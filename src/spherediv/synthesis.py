@@ -7,13 +7,13 @@ in the diagonal entry whose root near 1 is taken.  With every entry within
 1/(2^d d!) of the identity the determinant is forced to +1.
 
 Tuples whose entries are algebraically independent over Q admit no rational
-polynomial relation, but no finite computation certifies that; the diagnostics
-here (non-trivial words staying away from the identity, no shared fixed points
-for non-commuting words in odd dimension, nonsingular obstruction sweeps) are
-necessary-style evidence only, and exact rational tuples are never labelled
-generic candidates (their entries satisfy obvious rational relations).  For an
-exact tuple the word and fixed-point checks are exact; for a floating one they
-are float measurements against the thresholds below.
+polynomial relation, but no finite computation certifies that; the word and
+fixed-point diagnostics here (non-trivial words staying away from the
+identity, no shared fixed points for non-commuting words in odd dimension)
+are necessary-style evidence only, and exact rational tuples are never
+labelled generic candidates (their entries satisfy obvious rational
+relations).  Those checks are exact for an exact tuple and float thresholds
+below for a floating one; the obstructed degrees are exact for both.
 """
 
 from __future__ import annotations
@@ -26,17 +26,18 @@ import numpy as np
 
 from . import linalg
 from .actions import common_fixed_point_test, minus_identity, reduced_words
-from .obstruction import FLOAT_SINGULAR_COEFF, ObstructionReport, certify_degrees
+from .obstruction import NearIdentityCertificate, near_identity_certificate
 from .points import RotationTuple, validate_tuple
 from .scalars import is_zero_scalar, scalar_to_float
 from .serialize import json_entry, json_int, json_list
 
 COMPLETION_ORTHONORMALITY_TOL = 1e-12
 COMPLETION_DETERMINANT_TOL = 1e-10
-# float tuples only: word matrices this close entrywise count as equal, and a
+# float tuples only: word matrices this close entrywise count as equal, a
 # word with |det(w - I)| at most FLOAT_SINGULAR_DET counts as fixing a vector
 WORD_MARGIN_FLOOR = 1e-12
 FLOAT_SINGULAR_DET = 1e-10
+FLOAT_SINGULAR_COEFF = 1e-8
 SCHEDULE_SHRINK = 4  # each nesting level shrinks the bound by 1/(SHRINK * d)
 WORD_CHUNK = 4096  # word matrices stacked at a time for their margins
 
@@ -224,7 +225,7 @@ class GenericityReport:
     failing_word: str | None
     fixed_point_pairs_checked: int
     fixed_point_failures: list[tuple[str, str]]
-    obstruction: ObstructionReport | None
+    obstruction: NearIdentityCertificate
     generic_candidate: bool
     notes: list[str] = field(default_factory=list)
 
@@ -236,7 +237,7 @@ class GenericityReport:
             "failing_word": self.failing_word,
             "fixed_point_pairs_checked": self.fixed_point_pairs_checked,
             "fixed_point_failures": self.fixed_point_failures,
-            "obstruction": self.obstruction.to_json() if self.obstruction else None,
+            "obstruction": self.obstruction.to_json(),
             "generic_candidate": self.generic_candidate,
             "notes": self.notes,
         }
@@ -333,16 +334,16 @@ def _share_a_fixed_vector(words, exact: bool) -> bool:
 
 
 def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
-                           n_max: int = 6, max_pairs: int = 40) -> GenericityReport:
-    """Necessary-style evidence that a tuple behaves generically.
+                           max_pairs: int = 40) -> GenericityReport:
+    """Evidence that a tuple behaves generically.
 
     (a) every non-trivial reduced word up to the cap evaluates away from the
     identity; (b) in odd dimension, short non-commuting words share no fixed
     point (locally commutative action); in even dimension, short words have no
-    fixed point at all; (c) the obstruction sweep finds nonsingular
-    certificates up to n_max.  None of this proves genericity, and exact
-    rational tuples are never generic (their entries are algebraically
-    dependent over Q), which the report states explicitly.
+    fixed point at all; (c) the near-identity bound obstructs at least degree
+    1, exactly.  (a) and (b) are necessary-style evidence, none of this proves
+    genericity, and exact rational tuples are never generic (their entries
+    are algebraically dependent over Q), which the report states explicitly.
     """
     if word_length_cap < 1:
         raise ValueError(f"the word length cap must be at least 1, got {word_length_cap}")
@@ -350,8 +351,8 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
     if not report.ok:
         raise ValueError("invalid rotation tuple: " + "; ".join(report.issues))
     r = rotations.r
-    notes = ["word / fixed-point / obstruction checks are necessary-style "
-             "evidence, not a proof of genericity"]
+    notes = ["word / fixed-point checks are necessary-style evidence, not a proof "
+             "of genericity; the obstructed degrees are exact"]
     exact = rotations.is_exact
     matrix = _WordMatrices(rotations)
     identity = linalg.identity_matrix(rotations.dimension)
@@ -394,9 +395,8 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
                         failures.append((str(w1), str(w2)))
                 if pairs_checked >= max_pairs:
                     break
-    obstruction = certify_degrees(rotations, n_max=n_max)
-    all_obstructed = obstruction.all_obstructed
-    candidate = (word_pass and not failures and all_obstructed
+    obstruction = near_identity_certificate(rotations)
+    candidate = (word_pass and not failures and obstruction.obstructed_through != 0
                  and rotations.mode == "floating")
     if exact:
         notes.append("exact tuples are never generic candidates: rational (or "

@@ -7,8 +7,8 @@ uniform-angle product rule, common-kernel questions from the rank of the
 stacked matrix, determinants from Bareiss elimination on the scalar objects
 themselves or, over rings without division (sums of roots of unity), from
 cofactor expansion, certificate matrices from entry-by-entry Gegenbauer
-evaluation (in floats for a floating tuple), float word matrices multiplied
-out letter by letter from the identity, zonal bases from Schur complements against an explicitly tracked
+evaluation, float word matrices multiplied out letter by letter from the
+identity, zonal bases from Schur complements against an explicitly tracked
 inverse Gram matrix, rational sphere points from a sorted pool of Fraction
 stereographic images, witness residuals from a loop over samples, rotations
 and basis points, orbit divisions from a plain recursive DFS over scanned
@@ -17,7 +17,8 @@ matrices under exact matrix products, Z_N tilings from a search that
 recomputes every row and image modulo N, the circle's first cancelling degree
 from a zero test at every n in one full period, and the circle's
 classification from a case analysis by the number of angles (congruence
-solvers for r <= 4, the divisor walk for every witness degree but r = 4),
+solvers for r <= 4, the divisor walk for every witness degree but r = 4,
+formal r >= 5 tuples never measurable),
 circle and lifted partition reports from a Python loop over the samples, arc
 partitions from explicit translates counted at every midpoint, and face
 lattices of orbit polytopes from an exact nullspace and sign scan over every
@@ -166,21 +167,6 @@ def l_matrix_by_evaluate(d: int, n: int, rotations, points):
             row.append(scale * total)
         rows.append(row)
     return rows
-
-
-def float_l_matrix_by_terms(d: int, n: int, rotations, points):
-    """L of a floating tuple in numpy floats, entry by entry: one dot product
-    and one Horner evaluation of the rational P_n per term."""
-    poly = gegenbauer(d, n)
-    mats = [np.array(m, dtype=float) for m in rotations.matrices]
-    vecs = [np.array([float(c) for c in p]) for p in points]
-    k = len(vecs)
-    out = np.zeros((k, k))
-    for j in range(k):
-        images = [m @ vecs[j] for m in mats]
-        for i in range(k):
-            out[i, j] = sum(float(evaluate(poly, float(vecs[i] @ w))) for w in images)
-    return out / harmonic_dimension(d, n)
 
 
 def float_word_matrix_by_letters(letters, rotations):
@@ -683,31 +669,35 @@ def classify_by_cases(angles) -> CircleClassification:
         return _divide_r4(*ang)
     # r >= 5
     s = [a - ang[-1] for a in ang]
-    if all(a.is_rational for a in s):
-        note = ("r>=5 decision via reduction to the generated finite cyclic group; "
-                "sound and complete for rational tuples (extension beyond the "
-                "r<=4 closed-form analysis)")
-        n0 = fractional_test(ang)
+    n0 = fractional_test(ang)
+    if not all(a.is_rational for a in s):
+        # a formal difference: two or more formal classes, never measurable
         if n0 is None:
-            return CircleClassification(verdict="not_fractional", r=r, notes=[note])
-        turns = [a.turns for a in s]
-        order, residues = _cyclic_group_data(turns)
-        if order % r == 0:
-            solution = tiling_solve(TileInstance(order, tuple(residues)))
-            if solution is not None:
-                cell = Fraction(1, order)
-                arcs = ArcSet(tuple((Fraction(a, order), Fraction(a, order) + cell)
-                                    for a in solution.members))
-                return CircleClassification(verdict="constructive", r=r, arcs=arcs,
-                                            witness_degree=n0,
-                                            reduced_turns=tuple(turns),
-                                            group_order=order, notes=[note])
-        return CircleClassification(verdict="fractional_only", r=r, witness_degree=n0,
-                                    reduced_turns=tuple(turns), group_order=order,
-                                    notes=[note])
-    return CircleClassification(
-        verdict="heuristic_unknown", r=r, witness_degree=fractional_test(ang),
-        notes=["r >= 5 with transcendental offsets is outside the decided range"])
+            return CircleClassification(verdict="not_fractional", r=r)
+        return CircleClassification(
+            verdict="fractional_only", r=r, witness_degree=n0,
+            notes=["irrational offsets force every fractional division to be "
+                   "non-measurable"])
+    note = ("r>=5 decision via reduction to the generated finite cyclic group; "
+            "sound and complete for rational tuples (extension beyond the "
+            "r<=4 closed-form analysis)")
+    if n0 is None:
+        return CircleClassification(verdict="not_fractional", r=r, notes=[note])
+    turns = [a.turns for a in s]
+    order, residues = _cyclic_group_data(turns)
+    if order % r == 0:
+        solution = tiling_solve(TileInstance(order, tuple(residues)))
+        if solution is not None:
+            cell = Fraction(1, order)
+            arcs = ArcSet(tuple((Fraction(a, order), Fraction(a, order) + cell)
+                                for a in solution.members))
+            return CircleClassification(verdict="constructive", r=r, arcs=arcs,
+                                        witness_degree=n0,
+                                        reduced_turns=tuple(turns),
+                                        group_order=order, notes=[note])
+    return CircleClassification(verdict="fractional_only", r=r, witness_degree=n0,
+                                reduced_turns=tuple(turns), group_order=order,
+                                notes=[note])
 
 
 def verify_lifted_by_loop(desc, samples: int, seed: int = 0) -> PartitionReport:

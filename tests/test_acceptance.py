@@ -334,7 +334,7 @@ def test_criterion_13_synthesis_bulk():
 
 def test_criterion_14_cli_determinism(tmp_path, capsys):
     argv = ["synth-generic", "--dim", "3", "--r", "2", "--seed", "7",
-            "--word-cap", "3", "--nmax", "2"]
+            "--word-cap", "3"]
     assert cli_main(argv) == 0
     out1 = capsys.readouterr().out
     assert cli_main(argv) == 0

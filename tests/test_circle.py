@@ -330,10 +330,22 @@ def test_classify_r5():
     assert c.verdict == "constructive"
     assert c.arcs.arcs == ((F(0), F(1, 5)),)
     assert verify_arcset(list(c.reduced_turns), c.arcs)
+    # "tau" is alone in its formal class, so nothing cancels
     c = classify(["0", "1/5", "2/5", "3/5", "tau"])
-    assert c.verdict == "heuristic_unknown"
+    assert c.verdict == "not_fractional"
+    assert c.witness_degree is None
     c = classify(["0", "1/7", "2/7", "3/7", "4/7"])
     assert c.verdict in ("fractional_only", "not_fractional")
+
+
+def test_classify_formal_r5_is_fractional_only():
+    # thirds and an antipodal pair under tau cancel groupwise at degree 1,
+    # but two formal classes leave no measurable division
+    c = classify(["0", "1/3", "2/3", "tau", "1/2 + tau"])
+    assert c.verdict == "fractional_only"
+    assert c.witness_degree == 1
+    assert c.arcs is None and c.reduced_turns is None
+    assert c.to_json() == classify_by_cases(["0", "1/3", "2/3", "tau", "1/2 + tau"]).to_json()
 
 
 def test_classify_common_formal_offset_reduces():

@@ -86,6 +86,16 @@ def test_obstruct_rejects_bad_tuple(tmp_path, capsys):
     assert main(["obstruct", "--tuple", str(path)]) == 2
 
 
+def test_obstruct_refuses_floating_tuples(tmp_path, capsys):
+    # a floating tuple has no exact certificate, valid or not
+    quarter = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    path = write_tuple(tmp_path, floating_tuple([quarter, quarter]))
+    assert main(["obstruct", "--tuple", path, "--nmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "floating tuples are not accepted here" in captured.err
+
+
 def test_obstruct_dim_mismatch(tmp_path, capsys):
     path = write_tuple(tmp_path, identity_tuple(3, 2))
     assert main(["obstruct", "--dim", "2", "--tuple", path]) == 2
@@ -271,7 +281,7 @@ def test_lift_rejects_nonconstructive_base(capsys):
 
 def test_synth_generic_command(capsys):
     code, out = run(capsys, ["synth-generic", "--dim", "3", "--r", "2",
-                             "--seed", "7", "--word-cap", "3", "--nmax", "2"])
+                             "--seed", "7", "--word-cap", "3"])
     assert code == 0
     data = json.loads(out)
     assert data["diagnostics"]["word_check_pass"] is True
@@ -280,9 +290,26 @@ def test_synth_generic_command(capsys):
     assert max(data["orthonormality_residuals"]) <= 1e-12
 
 
+def test_synth_generic_certifies_degrees_near_the_identity(capsys):
+    # no zonal basis is built, so d = 6 answers at once
+    code, out = run(capsys, ["synth-generic", "--dim", "6", "--r", "2", "--word-cap", "2"])
+    assert code == 0
+    obstruction = json.loads(out)["diagnostics"]["obstruction"]
+    assert len(obstruction["distance_bounds"]) == 2
+    assert obstruction["obstructed_through"] > 1000
+
+
+def test_angle_lists_may_start_with_a_minus_sign(capsys):
+    code, out = run(capsys, ["circle", "classify", "--angles", "-1/3,1/3,0"])
+    assert code == 0
+    assert json.loads(out)["classification"]["verdict"] == "constructive"
+    assert main(["circle", "classify", "--angles", "-/3,0"]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     argv = ["synth-generic", "--dim", "3", "--r", "2", "--seed", "11",
-            "--word-cap", "2", "--nmax", "1"]
+            "--word-cap", "2"]
     _, out1 = run(capsys, argv)
     _, out2 = run(capsys, argv)
     assert out1 == out2
@@ -316,7 +343,7 @@ def test_obstruct_rejects_non_finite_floating_tuple(tmp_path, capsys):
     assert main(["obstruct", "--tuple", str(path), "--nmax", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "non-finite" in captured.err
+    assert "floating tuples are not accepted here" in captured.err
 
 
 def test_tuple_file_must_hold_an_object(tmp_path, capsys):
@@ -500,7 +527,7 @@ def test_descriptor_files_are_checked_at_the_boundary(tmp_path, capsys):
 
 def test_upper_entry_files_are_checked_at_the_boundary(tmp_path, capsys):
     good = {"dimension": 2, "blocks": [[[0.01]], [[-0.005]]]}
-    argv = ["synth-generic", "--dim", "2", "--r", "2", "--word-cap", "2", "--nmax", "1"]
+    argv = ["synth-generic", "--dim", "2", "--r", "2", "--word-cap", "2"]
     assert main(argv + ["--upper", write_json(tmp_path, good)]) == 0
     capsys.readouterr()
     cases = [(argv, [1]), (argv, {"dimension": 1, "blocks": [[]]}),
@@ -610,5 +637,5 @@ def test_exact_commands_do_not_load_numpy(tmp_path):
     assert seen[0] is False, "importing spherediv.cli loaded numpy"
     assert seen[1:-1] == [[0, False]] * len(exact)
     assert seen[-1] == [0, True]
-    synth = ["synth-generic", "--dim", "2", "--r", "2", "--word-cap", "2", "--nmax", "1"]
+    synth = ["synth-generic", "--dim", "2", "--r", "2", "--word-cap", "2"]
     assert _probe_numpy([synth + out]) == [False, [0, True]]

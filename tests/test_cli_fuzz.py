@@ -22,7 +22,7 @@ from spherediv.serialize import tuple_to_json
 from spherediv.synthesis import draw_upper_entries
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
-EXACT_ONLY = ("orbit", "fixed-point-test", "euler-check")
+EXACT_ONLY = ("obstruct", "orbit", "fixed-point-test", "euler-check")
 JUNK = [None, 5, -1, 0, 1.5, True, "x", "1/0", "nan", [], [[]], {}, ["1/1", "0/1"]]
 
 
@@ -248,7 +248,7 @@ def test_synth_generic_upper_ends_with_a_documented_exit_code(tmp_path_factory, 
         d, r = data.get("dimension"), len(data["blocks"])
     d, r = (d if type(d) is int else 3) + shape_shift[0], r + shape_shift[1]
     code = main(["synth-generic", "--dim", str(d), "--r", str(r), "--word-cap", "2",
-                 "--nmax", "1", "--upper", str(path), "--output", str(root / "out.json")])
+                 "--upper", str(path), "--output", str(root / "out.json")])
     assert code in DOCUMENTED_EXITS, (data, shape_shift)
     # prescribed entries that disagree with --dim or --r are an input error
     assert code == (0 if shape_shift == (0, 0) else 2) or not valid, (data, shape_shift)

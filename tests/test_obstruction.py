@@ -1,30 +1,33 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from spherediv.circle import Angle, necessary_degrees
 from spherediv.gegenbauer import evaluate, gegenbauer
 from spherediv import linalg
 from spherediv.linalg import det
-from spherediv.obstruction import (WITNESS_RESIDUAL_TOL, WITNESS_SAMPLE_COUNT,
+from spherediv.obstruction import (PI_HALF_UPPER, SQRT_SCALE, WITNESS_RESIDUAL_TOL,
+                                   WITNESS_SAMPLE_COUNT, _sqrt_upper,
                                    _validate_witness, certify_degrees,
                                    circle_det, default_n_max, extract_witness,
-                                   l_matrix, pair_det)
+                                   l_matrix, near_identity_certificate, pair_det)
 from spherediv.points import (cayley_rotation, circle_rotation_tuple,
                               exact_tuple, floating_tuple, identity_tuple,
                               random_skew_matrix, z_axis_rotation_tuple)
 from spherediv.scalars import QuadExt, is_zero_scalar, scalar_to_float
 from spherediv.serialize import tuple_from_json
-from spherediv.zonal import build_zonal_basis
 from spherediv.synthesis import complete_rows, draw_upper_entries
-from oracles import (det_cofactor, float_l_matrix_by_terms, l_matrix_by_evaluate,
-                     witness_residual_by_sample, witness_value_by_point)
+from spherediv.zonal import build_zonal_basis
+from oracles import (det_cofactor, l_matrix_by_evaluate, witness_residual_by_sample,
+                     witness_value_by_point)
 
 
 def test_l_matrix_identity_law():
@@ -46,7 +49,7 @@ def test_l_matrix_single_identity_is_gram():
 
 def test_certify_identity_all_obstructed():
     report = certify_degrees(identity_tuple(3, 2), n_max=6)
-    assert report.all_obstructed
+    assert not report.witness_degrees
     assert [c.n for c in report.degrees] == list(range(1, 7))
     assert all(c.status == "obstructed" for c in report.degrees)
     assert "no non-constant fractional division supported in degrees 1..6" \
@@ -57,7 +60,6 @@ def test_certify_z_axis_thirds_has_witnesses():
     t = z_axis_rotation_tuple([Fraction(1, 3), Fraction(2, 3), Fraction(0)])
     report = certify_degrees(t, n_max=3)
     assert 3 in report.witness_degrees
-    assert not report.all_obstructed
     assert "witness" in report.disclaimer
 
 
@@ -65,7 +67,7 @@ def test_certify_random_cayley_obstructed():
     rng = random.Random(1)
     t = exact_tuple([cayley_rotation(random_skew_matrix(rng, 2)) for _ in range(2)])
     report = certify_degrees(t, n_max=8)
-    assert report.all_obstructed
+    assert not report.witness_degrees
 
 
 def test_certify_rejects_invalid_tuple():
@@ -74,17 +76,9 @@ def test_certify_rejects_invalid_tuple():
         certify_degrees(bad, n_max=2)
 
 
-def test_floating_mode_flags_inexact():
-    a = 2 * np.pi / 3
-    mats = [[[np.cos(k * a), -np.sin(k * a)], [np.sin(k * a), np.cos(k * a)]]
-            for k in (1, 2, 3)]
-    report = certify_degrees(floating_tuple(mats), n_max=3)
-    assert not report.exact
-    # frequencies not divisible by 3 cancel under the three third-turns;
-    # frequency 3 is fixed by all of them, so degree 3 stays obstructed
-    assert report.witness_degrees == [1, 2]
-    assert "not a rigorous certificate" in report.disclaimer
-    assert all("inexact" in c.note for c in report.degrees)
+def test_certify_refuses_floating_tuples():
+    with pytest.raises(ValueError, match="not a floating one"):
+        certify_degrees(floating_tuple([[[1.0, 0.0], [0.0, 1.0]]]), n_max=2)
 
 
 def test_default_n_max():
@@ -257,25 +251,6 @@ def test_l_matrix_matches_termwise_evaluation(d, n):
             [[str(x) for x in row] for row in want]
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
-def test_floating_l_matrix_matches_the_termwise_float_oracle(d):
-    # bit for bit, signs of zero included: synthesized tuples near the
-    # identity and float copies of Cayley rotations far from it
-    rng = np.random.default_rng(40 + d)
-    rnd = random.Random(40 + d)
-    tuples = [complete_rows(draw_upper_entries(rng, d, r)).rotations for r in (1, 2, 3)]
-    tuples.append(floating_tuple([[[float(x) for x in row]
-                                   for row in cayley_rotation(random_skew_matrix(rnd, d))]
-                                  for _ in range(2)]))
-    for n in range(1, 5 if d <= 3 else 4):
-        basis = build_zonal_basis(d, n)
-        for t in tuples:
-            got = l_matrix(d, n, t, basis)
-            want = float_l_matrix_by_terms(d, n, t, basis.points)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 def _circle_cases():
     """Every (t, 0) with a denominator of t up to 12, and 60 seeded tuples of
     3 to 5 turns with denominators up to 12."""
@@ -397,3 +372,124 @@ def test_certificates_of_the_reference_tuples_keep_their_digests():
         got = [(c.n, c.status, hashlib.sha256(c.det_value.encode()).hexdigest())
                for c in report.degrees]
         assert got == [(e["n"], e["status"], e["det_sha256"]) for e in entry["degrees"]]
+
+
+# -- the near-identity bound ------------------------------------------------------
+
+
+def test_pi_half_upper_bounds_pi_half():
+    assert 355 / 226 > math.pi / 2 and PI_HALF_UPPER - Fraction(math.pi / 2) < Fraction(1, 10 ** 6)
+
+
+def test_sqrt_upper_is_an_exact_and_tight_bound():
+    rng = random.Random(4)
+    values = [Fraction(rng.randint(1, 10 ** 12), rng.randint(1, 10 ** 12)) for _ in range(50)]
+    values += [Fraction(2), Fraction(1, 10 ** 40), Fraction(4)]
+    values += [QuadExt(Fraction(4), Fraction(-2), 3), QuadExt(Fraction(1, 3), Fraction(1, 5), 2)]
+    for s in values:
+        u = _sqrt_upper(s)
+        assert u * u >= s
+        below = u - Fraction(4, SQRT_SCALE)
+        assert below < 0 or below * below < s, s
+    assert _sqrt_upper(Fraction(0)) == 0
+
+
+def test_identity_tuples_are_obstructed_in_every_degree():
+    cert = near_identity_certificate(identity_tuple(3, 2))
+    assert cert.obstructed_through is None
+    assert cert.to_json() == {"distance_bounds": ["0/1", "0/1"], "obstructed_through": None}
+
+
+def test_quad_distance_bound():
+    # a twelfth turn about z: ||g - I||_F = 2 sqrt(2) sin(pi/12)
+    t = z_axis_rotation_tuple([Fraction(1, 12), Fraction(0)])
+    cert = near_identity_certificate(t)
+    true = 2 * math.sqrt(2) * math.sin(math.pi / 12)
+    assert 0 <= float(cert.distance_bounds[0]) - true < 1e-15
+    assert cert.distance_bounds[1] == 0
+    # 1 * (355/226) * 0.732 < 2 <= 2 * (355/226) * 0.732
+    assert cert.obstructed_through == 1
+
+
+def test_near_identity_bound_refuses_circle_tuples_and_reflections():
+    with pytest.raises(ValueError):
+        near_identity_certificate(circle_rotation_tuple([Fraction(1, 3), Fraction(0)]))
+    with pytest.raises(ValueError, match="determinant <= 0"):
+        near_identity_certificate(floating_tuple([[[1.0, 0.0], [0.0, -1.0]]]))
+
+
+def _small_skew(draw, d: int):
+    s = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            v = Fraction(draw(st.integers(-1, 1)), draw(st.integers(6, 240)))
+            s[i][j], s[j][i] = v, -v
+    return s
+
+
+def _plane_turn(d: int, i: int, j: int, quarter: bool):
+    """The quarter or half turn of the (x_i, x_j)-plane."""
+    m = [[Fraction(int(a == b)) for b in range(d)] for a in range(d)]
+    if quarter:
+        m[i][i] = m[j][j] = Fraction(0)
+        m[i][j], m[j][i] = Fraction(-1), Fraction(1)
+    else:
+        m[i][i] = m[j][j] = Fraction(-1)
+    return m
+
+
+@st.composite
+def near_identity_tuples(draw):
+    """Exact Cayley rotations of skew matrices with entries 0 or +-1/q,
+    6 <= q <= 240, or plane quarter turns, half turns and identities."""
+    d, r = draw(st.integers(2, 4)), draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        return exact_tuple([cayley_rotation(_small_skew(draw, d)) for _ in range(r)])
+    mats = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(["identity", "quarter", "half"]))
+        i, j = sorted(draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        mats.append(linalg.identity_matrix(d) if kind == "identity"
+                    else _plane_turn(d, i, j, kind == "quarter"))
+    return exact_tuple(mats)
+
+
+@seed(2026)
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(t=near_identity_tuples())
+def test_near_identity_degrees_are_obstructed_exactly(t):
+    bound = near_identity_certificate(t).obstructed_through
+    # exact L determinants for d = 4, r = 3 take seconds at degree 5 (30 x 30)
+    # and near a minute at degree 6 (49 x 49)
+    cap = 4 if (t.dimension, t.r) == (4, 3) else 6
+    top = cap if bound is None else min(bound + 1, cap)
+    report = certify_degrees(t, n_max=top)
+    # every degree the bound covers is obstructed, and N stays below the
+    # least witness degree
+    for c in report.degrees:
+        if bound is None or c.n <= bound:
+            assert c.status == "obstructed", (c.n, bound)
+    if report.witness_degrees:
+        assert bound is not None and bound < report.witness_degrees[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_moving_a_synthesized_matrix_off_orthogonality_never_raises_the_bound(d):
+    rng = np.random.default_rng(60 + d)
+    for r in (2, 3):
+        t = complete_rows(draw_upper_entries(rng, d, r)).rotations
+        cert = near_identity_certificate(t)
+        for g, b in zip(t.matrices, cert.distance_bounds):
+            u, _, vt = np.linalg.svd(np.array(g))
+            true = float(np.linalg.norm(u @ vt - np.eye(d)))
+            # b bounds ||Q - I||_F from above for the polar factor Q = U V^T,
+            # up to the float rounding of that norm
+            assert true - 1e-14 <= float(b) <= true + 1e-12
+        for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+            sym = rng.normal(size=(d, d))
+            moved = np.array(t.matrices[0]) @ (np.eye(d) + eps * (sym + sym.T))
+            off = floating_tuple([moved.tolist()] + t.matrices[1:])
+            assert near_identity_certificate(off).obstructed_through \
+                <= cert.obstructed_through, eps

@@ -94,8 +94,7 @@ def test_diagonal_roots_near_one():
 
 
 def test_identity_tuple_fails_word_check():
-    report = genericity_diagnostics(identity_tuple(3, 2), word_length_cap=2,
-                                    n_max=2)
+    report = genericity_diagnostics(identity_tuple(3, 2), word_length_cap=2)
     assert not report.word_check_pass
     assert report.failing_word == "g1"
     assert not report.generic_candidate
@@ -105,11 +104,11 @@ def test_cayley_tuple_passes_checks_but_never_generic_candidate():
     rng = random.Random(3)
     t = exact_tuple([cayley_rotation(random_skew_matrix(rng, 3))
                      for _ in range(2)])
-    report = genericity_diagnostics(t, word_length_cap=3, n_max=3)
+    report = genericity_diagnostics(t, word_length_cap=3)
     assert report.word_check_pass
     assert report.min_word_margin > 0
     assert not report.fixed_point_failures
-    assert report.obstruction.all_obstructed
+    assert report.obstruction.obstructed_through == 0  # far from the identity
     assert not report.generic_candidate
     assert any("never generic" in note for note in report.notes)
 
@@ -121,7 +120,7 @@ def test_exact_tuple_near_the_identity_is_checked_exactly():
     e, z = Fraction(1, 10 ** 7), Fraction(0)
     t = exact_tuple([cayley_rotation(s) for s in ([[z, e, z], [-e, z, z], [z, z, z]],
                                                   [[z, z, e], [z, z, z], [-e, z, z]])])
-    report = genericity_diagnostics(t, word_length_cap=4, n_max=1)
+    report = genericity_diagnostics(t, word_length_cap=4)
     assert report.word_check_pass and report.failing_word is None
     assert 0 < report.min_word_margin < 1e-12
     assert report.fixed_point_pairs_checked == 40
@@ -132,17 +131,17 @@ def test_exact_tuple_near_the_identity_is_checked_exactly():
 def test_synthesized_tuple_is_generic_candidate():
     rng = np.random.default_rng(7)
     result = complete_rows(draw_upper_entries(rng, 3, 2))
-    report = genericity_diagnostics(result.rotations, word_length_cap=4, n_max=3)
+    report = genericity_diagnostics(result.rotations, word_length_cap=4)
     assert report.word_check_pass
     assert report.generic_candidate
-    assert report.obstruction.all_obstructed
+    assert report.obstruction.obstructed_through > 100
     assert any("necessary-style evidence" in note for note in report.notes)
 
 
 def test_even_dimension_free_action_check():
     rng = np.random.default_rng(11)
     result = complete_rows(draw_upper_entries(rng, 2, 2))
-    report = genericity_diagnostics(result.rotations, word_length_cap=3, n_max=2)
+    report = genericity_diagnostics(result.rotations, word_length_cap=3)
     assert report.word_check_pass
     assert not report.fixed_point_failures
     assert report.fixed_point_pairs_checked > 0
@@ -186,7 +185,7 @@ def test_exact_word_matrices_along_the_tree_are_the_word_products():
 
 def test_a_word_cap_below_one_is_an_input_error(capsys):
     # no word would be checked, and the report would claim a pass
-    argv = ["synth-generic", "--dim", "3", "--r", "2", "--nmax", "1", "--word-cap"]
+    argv = ["synth-generic", "--dim", "3", "--r", "2", "--word-cap"]
     for cap in ("0", "-5"):
         assert main(argv + [cap]) == 2
         captured = capsys.readouterr()
