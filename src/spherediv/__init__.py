@@ -20,8 +20,8 @@ from .gegenbauer import RationalPolynomial, evaluate, gegenbauer, \
 from .obstruction import FractionalWitness, ObstructionReport, certify_degrees, \
     extract_witness, l_matrix, near_identity_certificate
 from .points import RotationTuple, approximate_point, cayley_rotation, \
-    circle_rotation_tuple, enumerate_points, exact_tuple, floating_tuple, \
-    identity_tuple, validate_tuple, z_axis_rotation_tuple
+    circle_rotation_tuple, enumerate_points, exact_tuple, identity_tuple, \
+    validate_tuple, z_axis_rotation_tuple
 from .tiling import TileInstance, TileSolution, closed_form_r4, \
     even_m_construction, is_tiling, normalize_r4, odd_m_construction, solve
 from .zonal import ZonalBasis, build_zonal_basis, gram_matrix, zonal_evaluate

@@ -1,6 +1,6 @@
 """Words, orbits and finite structure of the group generated by a tuple.
 
-Everything here is exact: a floating tuple is refused, because "the orbit is
+Everything here is exact, as every ``RotationTuple`` is: "the orbit is
 finite", "the words share a fixed vector" and "w = I" are closed conditions
 that no float computation proves.  Covers word evaluation in the generators
 (inverse = transpose), the common-fixed-point criterion det(sum A_i^T A_i) = 0,
@@ -76,15 +76,8 @@ def parse_word(text: str) -> GroupWord:
     return GroupWord(tuple(expanded))
 
 
-def _require_exact(rotations: RotationTuple, what: str) -> None:
-    if not rotations.is_exact:
-        raise ValueError(f"{what} needs an exact, quad or circle tuple, got a "
-                         f"floating one")
-
-
 def evaluate_word(word: GroupWord, rotations: RotationTuple):
     """Exact product of the generators and their transposes named by the word."""
-    _require_exact(rotations, "word evaluation")
     for g, e in word.letters:
         if g > rotations.r:
             raise ValueError(f"bad letter ({g}, {e}): the tuple has {rotations.r} generators")
@@ -208,7 +201,6 @@ def _act(m, v):
 def orbit(start, rotations: RotationTuple, cap: int = 10 ** 4) -> OrbitReport:
     """Exact breadth-first closure of a point under the generators and
     inverses of an exact, quad or circle tuple."""
-    _require_exact(rotations, "an orbit")
     if len(start) != rotations.dimension:
         raise ValueError(f"the start point has {len(start)} coordinates, the tuple "
                          f"has dimension {rotations.dimension}")
@@ -335,7 +327,6 @@ def invariant_split(report: OrbitReport, rotations: RotationTuple) -> InvariantS
     block matrices on the two pieces."""
     if not report.finite:
         raise ValueError("invariant splitting needs a finite orbit")
-    _require_exact(rotations, "invariant splitting")
     pts = [list(p) for p in report.points]
     red, pivots = linalg.rref(pts)
     span = [red[i] for i in range(len(pivots))]

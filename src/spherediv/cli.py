@@ -28,10 +28,9 @@ from .euler import divisibility_obstruction, euler_check, face_lattice, \
 from .gegenbauer import evaluate as poly_evaluate, gegenbauer, harmonic_dimension
 from .lifting import descriptor_from_json, lift_from_circle, verify_partition
 from .obstruction import certify_degrees, extract_witness, obstructed_degree_error
-from .points import enumerate_points, validate_tuple
+from .points import MODES, enumerate_points
 from .scalars import scalar_to_float
-from .serialize import format_fraction, point_to_json, tuple_from_json, \
-    tuple_to_json
+from .serialize import format_fraction, point_to_json, tuple_from_json
 from .tiling import TileInstance, solve as tile_solve
 from .zonal import build_zonal_basis
 
@@ -60,19 +59,13 @@ def _load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-EXACT_MODES = ("exact", "quad", "circle")
-
-
-def _load_tuple(path: str, modes=EXACT_MODES):
-    """The validated tuple in the file; a mode outside ``modes`` (those the
-    command decides) is an input error."""
+def _load_tuple(path: str, modes=MODES):
+    """The tuple in the file, valid by construction; a mode outside ``modes``
+    (those the command decides) is an input error."""
     t = tuple_from_json(_load_json(path))
     if t.mode not in modes:
         raise ValueError(f"{t.mode} tuples are not accepted here; accepted modes: "
                          f"{', '.join(modes)}")
-    report = validate_tuple(t)
-    if not report.ok:
-        raise ValueError("invalid rotation tuple: " + "; ".join(report.issues))
     return t
 
 
@@ -108,9 +101,6 @@ def cmd_basis(args) -> dict:
 
 def cmd_obstruct(args) -> dict:
     rotations = _load_tuple(args.tuple)
-    if args.dim is not None and args.dim != rotations.dimension:
-        raise ValueError(f"--dim {args.dim} does not match tuple dimension "
-                         f"{rotations.dimension}")
     report = certify_degrees(rotations, n_max=args.nmax)
     out = _envelope(args, report=report.to_json())
     if args.witness is not None:
@@ -203,8 +193,8 @@ def cmd_verify_partition(args) -> dict:
 
 
 def cmd_synth_generic(args) -> dict:
-    # synthesis computes in numpy floats throughout; the exact commands never
-    # load it
+    # the completion is numpy floats, and synthesis keeps them: they never
+    # become a RotationTuple.  The exact commands load neither module.
     import numpy as np
 
     from .synthesis import complete_rows, draw_upper_entries, epsilon_schedule, \
@@ -221,11 +211,10 @@ def cmd_synth_generic(args) -> dict:
     if not upper.within_schedule():
         raise ValueError("upper entries exceed the schedule bounds")
     completion = complete_rows(upper)
-    diagnostics = genericity_diagnostics(completion.rotations,
-                                         word_length_cap=args.word_cap)
+    diagnostics = genericity_diagnostics(completion, word_length_cap=args.word_cap)
     return _envelope(args,
                      schedule=epsilon_schedule(upper.dimension),
-                     tuple=tuple_to_json(completion.rotations),
+                     tuple=completion.tuple_json(),
                      orthonormality_residuals=completion.orthonormality_residuals,
                      determinant_residuals=completion.determinant_residuals,
                      identity_distances=completion.identity_distances,
@@ -278,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("obstruct", parents=[common],
                        help="determinant certificates against fractional "
                             "divisions, degree by degree")
-    p.add_argument("--dim", type=int)
     p.add_argument("--tuple", required=True, help="rotation tuple JSON file")
     p.add_argument("--nmax", type=int)
     p.add_argument("--witness", type=int,

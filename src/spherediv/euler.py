@@ -22,7 +22,7 @@ that orbit's representative with every other vertex in orbits >= i, and d
 affinely independent vertices of that image, the representative among them,
 form a tested subset.  Lower faces are intersections of facet vertex sets,
 closed under the group one orbit at a time.  Groups must be exact (Fraction
-or Q(sqrt(D)) entries): a face count read off floating support tests would be
+or Q(sqrt(D)) entries): a face count read off float support tests would be
 a verdict resting on rounding.
 """
 

@@ -17,8 +17,9 @@ of the last two coordinates decides, so no decisive test rounds.
 
 The circle coordinate has one cut table per descriptor: the translated arc
 ends of a circle division (`circle.arc_cuts`), or the r cells of 1/r turn of a
-lift.  `membership` reads it by bisection and `verify_partition` by integer
-thresholds over whole sample arrays.  Only the sampler loads numpy.
+lift.  `membership` reads it by bisection and `verify_partition` a circle
+division's by integer thresholds over whole sample arrays, a lift's cells by
+arithmetic.  Only the sampler loads numpy.
 """
 
 from __future__ import annotations
@@ -212,7 +213,7 @@ class PartitionReport:
     samples_requested: int
     retained: int
     violations: list = field(default_factory=list)
-    piece_counts: list[int] = field(default_factory=list)
+    piece_counts: list = field(default_factory=list)  # or pairs, see verify_partition
     seed: int = 0
 
     @property
@@ -235,27 +236,45 @@ def verify_partition(desc: DivisionDescriptor, samples: int, seed: int = 0) -> P
     circle block below the margin, are rejected, matching the null set the
     construction ignores.  On a lifted descriptor the samples test the
     circle-block rule; the lower division decides only that null set and was
-    checked when the descriptor was loaded.
+    checked when the descriptor was loaded.  A lift's table is regular (cut j
+    at k = j 10^6, cell j in piece j, cell 0 in piece r), so it is read by
+    arithmetic on k and nothing of size r is built.  The counts are per
+    piece, or, when there are more pieces than samples, [piece, count] pairs
+    of the pieces sampled, so the report never outgrows the samples either.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     if isinstance(desc, PlaceholderDivision):
         raise ValueError("placeholder divisions have no evaluable membership")
-    r, table = desc.r, desc.cuts
-    denom = ANGLE_DENOMINATOR_SCALE * r
-    keep = _circle_block_kept(desc, samples, rng) if isinstance(desc, LiftedDivision) \
-        else np.ones(samples, dtype=bool)
+    r, scale = desc.r, ANGLE_DENOMINATOR_SCALE
+    denom = scale * r
+    lifted = isinstance(desc, LiftedDivision)
+    keep = _circle_block_kept(desc, samples, rng) if lifted else True
     ks = rng.integers(0, denom, size=samples)
-    ks = ks[keep & ~_near_cut(ks, table, denom)]
-    # the count of cuts at or below k / denom (k >= ceil(c denom / q)) picks the
-    # interval; a count of 0 is the one wrapping past 0, the last
-    below = np.searchsorted([-(-c * denom // table.q) for c in table.cuts], ks, side="right")
-    holders = table.holders[-1:] + table.holders
-    piece = np.array([hits[0] if len(hits) == 1 else 0 for hits in holders])[below]
-    violations = [{"angle": str(Fraction(int(ks[n]), denom)), "pieces": list(holders[below[n]])}
-                  for n in np.flatnonzero(piece == 0).tolist()]
-    counts = np.bincount(piece, minlength=r + 1)[1:].tolist()
+    if lifted:
+        # cut j sits at k = j 10^6, and 10^-7 turn is r / 10 steps of k
+        gap = ks % scale
+        np.minimum(gap, scale - gap, out=gap)
+        ks = ks[keep & (gap >= -(-r // 10))]
+        piece, violations = ks // scale, []
+        piece[piece == 0] = r
+    else:
+        table = desc.cuts
+        ks = ks[~_near_cut(ks, table, denom)]
+        # the count of cuts at or below k / denom (k >= ceil(c denom / q))
+        # picks the interval; a count of 0 is the one wrapping past 0, the last
+        below = np.searchsorted([-(-c * denom // table.q) for c in table.cuts], ks, side="right")
+        holders = table.holders[-1:] + table.holders
+        piece = np.array([hits[0] if len(hits) == 1 else 0 for hits in holders])[below]
+        violations = [{"angle": str(Fraction(int(ks[n]), denom)),
+                       "pieces": list(holders[below[n]])}
+                      for n in np.flatnonzero(piece == 0).tolist()]
+    if r <= samples:
+        counts = np.bincount(piece, minlength=r + 1)[1:].tolist()
+    else:
+        sampled, hits = np.unique(piece[piece > 0], return_counts=True)
+        counts = [list(pair) for pair in zip(sampled.tolist(), hits.tolist())]
     return PartitionReport(samples_requested=samples, retained=len(ks),
                            violations=violations, piece_counts=counts, seed=seed)
 

@@ -16,8 +16,8 @@ that vanishes exactly when the rotated unit vectors cancel, so the degree is
 decided by the cyclotomic zero test.  For exact and quad pairs in d = 3 and
 4 it is det(I + rho_n(g_1^T g_2)), a product over the torus weights of H_n
 in the cosines of the rotation angles (``pair_det``).  Every other tuple, and
-every witness, goes through L.  Floating tuples get no certificate, except
-the determinant-free ``near_identity_certificate`` for tuples near I.
+every witness, goes through L.  Float matrices (``synthesis`` completions)
+get only the determinant-free ``near_identity_certificate`` near I.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 from . import linalg
 from .cyclotomic import CycloNum, unit_vectors_sum_is_zero
 from .gegenbauer import gegenbauer
-from .points import RotationTuple, validate_tuple
+from .points import RotationTuple
 from .scalars import QuadExt, is_zero_scalar, scalar_to_float, sign_scalar
 from .serialize import format_fraction
 from .zonal import ZonalBasis, build_zonal_bases, build_zonal_basis, pairing_matrix
@@ -194,7 +194,7 @@ class ObstructionReport:
     witness_degrees: list[int] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        # "exact" and "note" are constant: floating tuples have no certificate
+        # "exact" and "note" are constant: every tuple is exact
         return {
             "dimension": self.dimension,
             "r": self.r,
@@ -225,12 +225,7 @@ def _certify_one(rotations: RotationTuple, n: int, basis: ZonalBasis) -> DegreeC
 
 
 def certify_degrees(rotations: RotationTuple, n_max: int | None = None) -> ObstructionReport:
-    """Sweep degrees 1..n_max exactly; a floating tuple is refused."""
-    if not rotations.is_exact:
-        raise ValueError("certificates need an exact tuple, not a floating one")
-    report = validate_tuple(rotations)
-    if not report.ok:
-        raise ValueError("invalid rotation tuple: " + "; ".join(report.issues))
+    """Sweep degrees 1..n_max exactly."""
     if n_max is None:
         n_max = default_n_max(rotations.dimension)
     if n_max < 1:
@@ -282,8 +277,8 @@ def _sqrt_upper(s) -> Fraction:
     return u
 
 
-def near_identity_certificate(rotations: RotationTuple) -> NearIdentityCertificate:
-    """Degrees obstructed because every rotation is near the identity.
+def near_identity_certificate(matrices) -> NearIdentityCertificate:
+    """Degrees obstructed because every matrix is near the identity.
 
     Degree n is obstructed when n (pi/2) sum_s ||Q_s - I||_F < r, Q_s in
     SO(d).  Proof: rho_n(Q) is unitary, with the eigenvalues e^{i<w, theta>}
@@ -297,12 +292,13 @@ def near_identity_certificate(rotations: RotationTuple) -> NearIdentityCertifica
     >= ||Q - I||_F.  N is the largest degree with N (355/226) sum b < r for
     these bounds b; 0 certifies none, None (every b = 0) every degree.
     """
-    if rotations.mode == "circle":
-        raise ValueError("the near-identity bound needs matrices with real entries")
-    eye = linalg.identity_matrix(rotations.dimension)
+    eye = linalg.identity_matrix(len(matrices[0]))
     bounds = []
-    for i, m in enumerate(rotations.matrices):
-        g = m if rotations.is_exact else [[Fraction(x) for x in row] for row in m]
+    for i, m in enumerate(matrices):
+        if not all(isinstance(x, (float, Fraction, QuadExt)) for row in m for x in row):
+            raise ValueError(f"matrix {i}: the near-identity bound reads float, Fraction "
+                             f"or QuadExt entries")
+        g = [[Fraction(x) if isinstance(x, float) else x for x in row] for row in m]
         if sign_scalar(linalg.det(g)) <= 0:
             raise ValueError(f"matrix {i} has determinant <= 0: no rotation is near it")
         off_identity, polar = (sum((x * x for row in linalg.mat_sub(a, eye) for x in row),
@@ -310,7 +306,7 @@ def near_identity_certificate(rotations: RotationTuple) -> NearIdentityCertifica
                                for a in (g, linalg.mat_mul(linalg.transpose(g), g)))
         bounds.append(_sqrt_upper(off_identity) + _sqrt_upper(polar))
     total = sum(bounds, Fraction(0))
-    through = None if total == 0 else math.ceil(rotations.r / (PI_HALF_UPPER * total)) - 1
+    through = None if total == 0 else math.ceil(len(matrices) / (PI_HALF_UPPER * total)) - 1
     return NearIdentityCertificate(bounds, through)
 
 
@@ -370,8 +366,6 @@ def extract_witness(rotations: RotationTuple, n: int,
     F = sum_j c_j P_n(v_j . x); the packaged f = 1/r + F sums to 1 under the
     tuple.  Validated at ``samples`` random sphere points.
     """
-    if not rotations.is_exact:
-        raise ValueError("witness extraction requires an exact-mode tuple")
     if n < 1:
         raise ValueError("witnesses exist only at degrees n >= 1")
     d = rotations.dimension

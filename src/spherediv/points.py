@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -22,8 +22,7 @@ from .cyclotomic import CycloNum
 from .errors import BudgetExceeded
 from .scalars import QuadExt, is_zero_scalar
 
-ORTHONORMALITY_TOL = 1e-10
-DETERMINANT_TOL = 1e-8
+MODES = ("exact", "quad", "circle")  # the scalar representations of a tuple
 MAX_PARAMETER_HEIGHT = 64  # coordinate height of the stereographic parameters
 MAX_PARAMETER_VECTORS = 10 ** 6  # parameter vectors one enumeration may walk
 
@@ -189,11 +188,10 @@ def random_skew_matrix(rng, d: int, max_num: int = 9, max_den: int = 9):
 
 @dataclass
 class RotationTuple:
-    """r special orthogonal d x d matrices sharing one scalar representation.
-
-    mode is one of "exact" (Fraction entries), "quad" (Q(sqrt(D)) entries),
-    "circle" (d = 2, entries over roots of unity, built from rational turns)
-    or "floating".
+    """r special orthogonal d x d matrices sharing one exact scalar
+    representation, checked by ``validate_tuple`` when built.  mode is one of
+    ``MODES``: "exact" (Fraction entries), "quad" (Q(sqrt(D)) entries) or
+    "circle" (d = 2, entries over roots of unity, built from rational turns).
     """
 
     dimension: int
@@ -202,88 +200,48 @@ class RotationTuple:
     sqrt_d: int | None = None
     turns: tuple[Fraction, ...] | None = None
 
+    def __post_init__(self):
+        validate_tuple(self)
+
     @property
     def r(self) -> int:
         return len(self.matrices)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.mode != "floating"
-
     def inverse_matrix(self, i: int):
-        """Inverse of the i-th rotation: the transpose, exact in exact modes."""
+        """Inverse of the i-th rotation: its transpose."""
         return linalg.transpose(self.matrices[i])
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    mode: str
-    issues: list[str] = field(default_factory=list)
-    max_orthogonality_residual: float = 0.0
-    max_determinant_residual: float = 0.0
-
-
-def validate_tuple(t: RotationTuple) -> ValidationReport:
-    """Check exact orthonormality and det = 1 (exact and quad modes) or
-    residual tolerances (floating mode); a circle tuple is accepted on its
-    turns.  Failures are reported, not raised."""
+def validate_tuple(t: RotationTuple) -> None:
+    """Check exact orthonormality and det = 1 (exact and quad modes); a circle
+    tuple is accepted on its turns.  Raises ValueError naming every issue."""
     issues = [] if t.matrices else ["the tuple has no rotations"]
-    max_orth = 0.0
-    max_det = 0.0
-    if t.mode == "circle":
+    if t.mode not in MODES:
+        issues.append(f"unknown mode {t.mode!r}")
+    elif t.mode == "circle":
         # circle_rotation_tuple builds exact SO(2) matrices from the turns
         if t.dimension != 2 or t.turns is None or len(t.turns) != t.r:
             issues.append("circle tuple: matrices do not match its turns")
-        return ValidationReport(ok=not issues, mode=t.mode, issues=issues)
-    for idx, m in enumerate(t.matrices):
-        if len(m) != t.dimension or any(len(row) != t.dimension for row in m):
-            issues.append(f"matrix {idx}: wrong shape")
-            continue
-        if t.is_exact:
+    else:
+        d = t.dimension
+        for idx, m in enumerate(t.matrices):
+            if len(m) != d or any(len(row) != d for row in m):
+                issues.append(f"matrix {idx}: wrong shape")
+                continue
             gram = linalg.mat_mul(linalg.transpose(m), m)
-            for i in range(t.dimension):
-                for j in range(t.dimension):
-                    want = 1 if i == j else 0
-                    if not is_zero_scalar(gram[i][j] - want):
-                        issues.append(f"matrix {idx}: rows not exactly orthonormal "
-                                      f"(entry {i},{j})")
-                        break
-                else:
-                    continue
-                break
+            bad = [f"{i},{j}" for i in range(d) for j in range(d)
+                   if not is_zero_scalar(gram[i][j] - int(i == j))]
+            if bad:
+                issues.append(f"matrix {idx}: rows not exactly orthonormal (entry {bad[0]})")
             if not is_zero_scalar(linalg.det(m) - 1):
                 issues.append(f"matrix {idx}: determinant is not exactly 1")
-        else:
-            import numpy as np
-
-            a = np.array(m, dtype=float)
-            if not np.all(np.isfinite(a)):
-                issues.append(f"matrix {idx}: non-finite entry")
-                continue
-            orth = float(np.max(np.abs(a.T @ a - np.eye(t.dimension))))
-            dres = abs(float(np.linalg.det(a)) - 1.0)
-            max_orth = max(max_orth, orth)
-            max_det = max(max_det, dres)
-            if orth > ORTHONORMALITY_TOL:
-                issues.append(f"matrix {idx}: orthonormality residual {orth:.3e} "
-                              f"exceeds {ORTHONORMALITY_TOL}")
-            if dres > DETERMINANT_TOL:
-                issues.append(f"matrix {idx}: determinant residual {dres:.3e} "
-                              f"exceeds {DETERMINANT_TOL}")
-    return ValidationReport(ok=not issues, mode=t.mode, issues=issues,
-                            max_orthogonality_residual=max_orth,
-                            max_determinant_residual=max_det)
+    if issues:
+        raise ValueError("invalid rotation tuple: " + "; ".join(issues))
 
 
 def exact_tuple(matrices) -> RotationTuple:
     mats = [[[Fraction(x) for x in row] for row in m] for m in matrices]
     return RotationTuple(dimension=len(mats[0]), matrices=mats, mode="exact")
-
-
-def floating_tuple(matrices) -> RotationTuple:
-    mats = [[[float(x) for x in row] for row in m] for m in matrices]
-    return RotationTuple(dimension=len(mats[0]), matrices=mats, mode="floating")
 
 
 def identity_tuple(d: int, r: int) -> RotationTuple:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .points import RotationTuple, circle_rotation_tuple
+from .points import MODES, RotationTuple, circle_rotation_tuple
 from .scalars import QuadExt
 
 
@@ -23,19 +23,13 @@ def tuple_to_json(t: RotationTuple) -> dict:
     if t.mode == "exact":
         mats = [[[format_fraction(x) for x in row] for row in m] for m in t.matrices]
         return {"mode": "exact", "dimension": t.dimension, "matrices": mats}
-    if t.mode == "floating":
-        mats = [[[float(x) for x in row] for row in m] for m in t.matrices]
-        return {"mode": "floating", "dimension": t.dimension, "matrices": mats}
     if t.mode == "quad":
         mats = [[[[format_fraction(x.a if isinstance(x, QuadExt) else x),
                    format_fraction(x.b if isinstance(x, QuadExt) else 0)]
                   for x in row] for row in m] for m in t.matrices]
         return {"mode": "quad", "dimension": t.dimension, "sqrt": t.sqrt_d,
                 "matrices": mats}
-    if t.mode == "circle":
-        return {"mode": "circle", "dimension": 2,
-                "turns": [format_fraction(x) for x in t.turns]}
-    raise ValueError(f"unknown tuple mode {t.mode!r}")
+    return {"mode": "circle", "dimension": 2, "turns": [format_fraction(x) for x in t.turns]}
 
 
 def json_list(x, length: int | None = None) -> list:
@@ -70,23 +64,25 @@ def json_number(x):
 
 
 def tuple_from_json(data: dict) -> RotationTuple:
-    """The rotation tuple a JSON object describes; any malformed structure
-    raises ValueError.  Whether the matrices are rotations is left to
-    ``points.validate_tuple``."""
+    """The rotation tuple a JSON object describes; a malformed structure, a
+    floating tuple (`synth-generic` prints one, to be read, not decided) and
+    matrices that are not exact rotations all raise ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"a rotation tuple must be a JSON object, got {type(data).__name__}")
     mode = data.get("mode")
+    if mode == "floating":
+        raise ValueError(f"floating tuples are not accepted here; accepted modes: "
+                         f"{', '.join(MODES)}")
     if mode == "circle":
         if data.get("dimension", 2) != 2:
             raise ValueError("a circle tuple has dimension 2")
         turns = json_list(data.get("turns"))
         return circle_rotation_tuple([json_entry(Fraction, t) for t in turns])
-    if mode not in ("exact", "floating", "quad"):
+    if mode not in MODES:
         raise ValueError(f"unknown tuple mode {mode!r}")
     d = json_int(data, "dimension", 1)
     dd = json_int(data, "sqrt", 2) if mode == "quad" else None
     parse = {"exact": lambda x: Fraction(json_number(x)),
-             "floating": lambda x: float(json_number(x)),
              "quad": lambda x: QuadExt(Fraction(json_number(json_list(x, 2)[0])),
                                        Fraction(json_number(x[1])), dd)}[mode]
     mats = [[[json_entry(parse, x) for x in json_list(row, d)] for row in json_list(m, d)]

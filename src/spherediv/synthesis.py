@@ -12,8 +12,9 @@ fixed-point diagnostics here (non-trivial words staying away from the
 identity, no shared fixed points for non-commuting words in odd dimension)
 are necessary-style evidence only, and exact rational tuples are never
 labelled generic candidates (their entries satisfy obvious rational
-relations).  Those checks are exact for an exact tuple and float thresholds
-below for a floating one; the obstructed degrees are exact for both.
+relations).  Those checks are exact for a ``RotationTuple`` (every tuple is
+exact) and float thresholds below for a completion's float matrices, which
+never become a tuple; the obstructed degrees are exact for both.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ import numpy as np
 from . import linalg
 from .actions import common_fixed_point_test, minus_identity, reduced_words
 from .obstruction import NearIdentityCertificate, near_identity_certificate
-from .points import RotationTuple, validate_tuple
+from .points import RotationTuple
 from .scalars import is_zero_scalar, scalar_to_float
 from .serialize import json_entry, json_int, json_list
 
 COMPLETION_ORTHONORMALITY_TOL = 1e-12
 COMPLETION_DETERMINANT_TOL = 1e-10
-# float tuples only: word matrices this close entrywise count as equal, a
+# float matrices only: word matrices this close entrywise count as equal, a
 # word with |det(w - I)| at most FLOAT_SINGULAR_DET counts as fixing a vector
 WORD_MARGIN_FLOOR = 1e-12
 FLOAT_SINGULAR_DET = 1e-10
@@ -123,7 +124,7 @@ def draw_upper_entries(rng, d: int, r: int) -> UpperEntries:
 
 @dataclass
 class CompletionResult:
-    rotations: RotationTuple
+    matrices: list[list[list[float]]]  # checked by complete_rows, never a tuple
     orthonormality_residuals: list[float]
     determinant_residuals: list[float]
     identity_distances: list[float]
@@ -137,6 +138,10 @@ class CompletionResult:
     @property
     def max_determinant_residual(self) -> float:
         return max(self.determinant_residuals)
+
+    def tuple_json(self) -> dict:
+        """The read-only "floating" tuple `synth-generic` prints."""
+        return {"mode": "floating", "dimension": len(self.matrices[0]), "matrices": self.matrices}
 
 
 def _complete_matrix(upper: list[list[float]], d: int, index: int):
@@ -208,8 +213,7 @@ def complete_rows(upper: UpperEntries) -> CompletionResult:
         orth_res.append(orth)
         det_res.append(detr)
         dists.append(dist)
-    rotations = RotationTuple(dimension=d, matrices=mats, mode="floating")
-    return CompletionResult(rotations=rotations, orthonormality_residuals=orth_res,
+    return CompletionResult(matrices=mats, orthonormality_residuals=orth_res,
                             determinant_residuals=det_res, identity_distances=dists,
                             diagonal_roots=roots_all, target=target)
 
@@ -246,20 +250,19 @@ class GenericityReport:
 class _WordMatrices:
     """Matrices of reduced words: products of the generators and their
     transposes, multiplied out from the identity one letter at a time.
-    Exact for an exact tuple, numpy floats for a floating one."""
+    Exact for exact matrices, numpy floats for float ones."""
 
-    def __init__(self, rotations: RotationTuple):
-        self.exact = rotations.is_exact
-        self.r = rotations.r
+    def __init__(self, matrices):
+        self.exact = not isinstance(matrices[0][0][0], float)
+        self.r = len(matrices)
         self.letters = {}
         if self.exact:
-            self.identity = linalg.identity_matrix(rotations.dimension,
-                                                   like=rotations.matrices[0][0][0])
-            for g, m in enumerate(rotations.matrices, start=1):
+            self.identity = linalg.identity_matrix(len(matrices[0]), like=matrices[0][0][0])
+            for g, m in enumerate(matrices, start=1):
                 self.letters[g, 1], self.letters[g, -1] = m, linalg.transpose(m)
         else:
-            self.identity = np.eye(rotations.dimension)
-            for g, m in enumerate(rotations.matrices, start=1):
+            self.identity = np.eye(len(matrices[0]))
+            for g, m in enumerate(matrices, start=1):
                 a = np.array(m, dtype=float)
                 self.letters[g, 1], self.letters[g, -1] = a, a.T
 
@@ -333,9 +336,9 @@ def _share_a_fixed_vector(words, exact: bool) -> bool:
     return not any(np.linalg.norm(a @ witness) > 1e-6 for a in mats)
 
 
-def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
-                           max_pairs: int = 40) -> GenericityReport:
-    """Evidence that a tuple behaves generically.
+def genericity_diagnostics(source: RotationTuple | CompletionResult,
+                           word_length_cap: int = 6, max_pairs: int = 40) -> GenericityReport:
+    """Evidence that a tuple, or a completion's matrices, behave generically.
 
     (a) every non-trivial reduced word up to the cap evaluates away from the
     identity; (b) in odd dimension, short non-commuting words share no fixed
@@ -344,18 +347,17 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
     1, exactly.  (a) and (b) are necessary-style evidence, none of this proves
     genericity, and exact rational tuples are never generic (their entries
     are algebraically dependent over Q), which the report states explicitly.
+    Both sources are valid by construction and are not checked again.
     """
     if word_length_cap < 1:
         raise ValueError(f"the word length cap must be at least 1, got {word_length_cap}")
-    report = validate_tuple(rotations)
-    if not report.ok:
-        raise ValueError("invalid rotation tuple: " + "; ".join(report.issues))
-    r = rotations.r
+    matrices = source.matrices
+    r, d = len(matrices), len(matrices[0])
     notes = ["word / fixed-point checks are necessary-style evidence, not a proof "
              "of genericity; the obstructed degrees are exact"]
-    exact = rotations.is_exact
-    matrix = _WordMatrices(rotations)
-    identity = linalg.identity_matrix(rotations.dimension)
+    matrix = _WordMatrices(matrices)
+    exact = matrix.exact
+    identity = linalg.identity_matrix(d)
     words_checked = 0
     min_margin = math.inf
     failing = None
@@ -371,7 +373,6 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
     failures: list[tuple[str, str]] = []
     if word_pass:
         short = list(reduced_words(r, 2))
-        d = rotations.dimension
         if d % 2 == 0:
             # a free action on an odd-dimensional sphere: no short word may
             # have a fixed point at all
@@ -395,9 +396,9 @@ def genericity_diagnostics(rotations: RotationTuple, word_length_cap: int = 6,
                         failures.append((str(w1), str(w2)))
                 if pairs_checked >= max_pairs:
                     break
-    obstruction = near_identity_certificate(rotations)
+    obstruction = near_identity_certificate(matrices)
     candidate = (word_pass and not failures and obstruction.obstructed_through != 0
-                 and rotations.mode == "floating")
+                 and not exact)
     if exact:
         notes.append("exact tuples are never generic candidates: rational (or "
                      "quadratic) entries satisfy nontrivial rational relations")

@@ -42,7 +42,7 @@ from spherediv.gegenbauer import (RationalPolynomial, evaluate, gegenbauer,
 from spherediv.errors import BudgetExceeded
 from spherediv.euler import MAX_VERTICES, FaceLattice
 from spherediv.lifting import (ANGLE_DENOMINATOR_SCALE, BOUNDARY_MARGIN,
-                               PartitionReport)
+                               PartitionReport, _circle_block_kept, _near_cut)
 from spherediv.linalg import (identity_matrix, mat_mul, mat_vec, nullspace,
                               one_like, rank, transpose, zero_like)
 from spherediv.scalars import is_zero_scalar, scalar_to_float, sign_scalar
@@ -169,12 +169,12 @@ def l_matrix_by_evaluate(d: int, n: int, rotations, points):
     return rows
 
 
-def float_word_matrix_by_letters(letters, rotations):
+def float_word_matrix_by_letters(letters, matrices):
     """The float matrix of a word, multiplied out from the identity, one
     generator or transpose at a time, each converted to an array afresh."""
-    acc = np.eye(rotations.dimension)
+    acc = np.eye(len(matrices[0]))
     for g, e in letters:
-        m = np.array(rotations.matrices[g - 1], dtype=float)
+        m = np.array(matrices[g - 1], dtype=float)
         acc = acc @ (m if e == 1 else m.T)
     return acc
 
@@ -735,6 +735,25 @@ def verify_lifted_by_loop(desc, samples: int, seed: int = 0) -> PartitionReport:
         else:
             counts[hits[0] - 1] += 1
     return PartitionReport(samples_requested=samples, retained=retained,
+                           violations=violations, piece_counts=counts, seed=seed)
+
+
+def verify_lifted_by_table(desc, samples: int, seed: int = 0) -> PartitionReport:
+    """The lifted partition check on the lift's materialised cut table
+    (``LiftedDivision.cuts``): the circle descriptors' path, with every piece
+    counted."""
+    rng = np.random.default_rng(seed)
+    table, denom = desc.cuts, ANGLE_DENOMINATOR_SCALE * desc.r
+    keep = _circle_block_kept(desc, samples, rng)
+    ks = rng.integers(0, denom, size=samples)
+    ks = ks[keep & ~_near_cut(ks, table, denom)]
+    below = np.searchsorted([-(-c * denom // table.q) for c in table.cuts], ks, side="right")
+    holders = table.holders[-1:] + table.holders
+    piece = np.array([hits[0] if len(hits) == 1 else 0 for hits in holders])[below]
+    violations = [{"angle": str(Fraction(int(ks[n]), denom)), "pieces": list(holders[below[n]])}
+                  for n in np.flatnonzero(piece == 0).tolist()]
+    counts = np.bincount(piece, minlength=desc.r + 1)[1:].tolist()
+    return PartitionReport(samples_requested=samples, retained=len(ks),
                            violations=violations, piece_counts=counts, seed=seed)
 
 

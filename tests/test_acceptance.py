@@ -325,7 +325,7 @@ def test_criterion_13_synthesis_bulk():
             assert result.max_determinant_residual <= 1e-10
             assert max(result.identity_distances) < target
     zero = UpperEntries(3, [[[0.0, 0.0], [0.0]] for _ in range(2)])
-    for m in complete_rows(zero).rotations.matrices:
+    for m in complete_rows(zero).matrices:
         assert m == np.eye(3).tolist()
     report(13, "3000 schedule-compliant draws (1000 per dimension 2..4) all "
                "complete within 1e-12 / 1e-10 residuals and the identity-"

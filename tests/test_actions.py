@@ -12,9 +12,10 @@ from spherediv.actions import (GroupWord, common_fixed_point_test,
 from spherediv.euler import face_lattice, orbit_polytope
 from spherediv.linalg import identity_matrix, mat_vec
 from spherediv.points import (RotationTuple, cayley_rotation,
-                              circle_rotation_tuple, exact_tuple, floating_tuple,
+                              circle_rotation_tuple, exact_tuple,
                               random_skew_matrix, z_axis_rotation_tuple)
 from spherediv.scalars import QuadExt, is_zero_scalar
+from spherediv.serialize import tuple_from_json
 from spherediv.tiling import exact_cover
 from oracles import (divide_orbit_by_dfs, enumerate_group_by_matrices,
                      face_lattice_by_brute_force, stacked_kernel_intersection)
@@ -51,10 +52,6 @@ def icosahedral_tuple():
     g = [[half, -phi / 2, inv_phi / 2], [phi / 2, inv_phi / 2, -half],
          [inv_phi / 2, half, phi / 2]]
     return RotationTuple(3, [cycle, g], "quad", 5)
-
-
-def as_floating(t):
-    return floating_tuple([[[float(x) for x in row] for row in m] for m in t.matrices])
 
 
 def minus_identity(m):
@@ -159,16 +156,14 @@ def test_orbit_finite_exact():
 
 def test_floating_tuples_are_refused():
     # a finite orbit, a shared fixed vector and w = I are closed conditions
-    # that no float computation proves
+    # that no float computation proves, so no floating tuple reaches orbit,
+    # evaluate_word or invariant_split: none can be built or read
     t = z_axis_rotation_tuple([F(1, 4)], d=3)
-    rep = orbit((F(1), F(0), F(0)), t, cap=100)
-    floating = as_floating(t)
-    with pytest.raises(ValueError, match="orbit needs an exact, quad or circle tuple"):
-        orbit((1.0, 0.0, 0.0), floating, cap=100)
-    with pytest.raises(ValueError, match="word evaluation needs an exact"):
-        evaluate_word(GroupWord(((1, 1),)), floating)
-    with pytest.raises(ValueError, match="invariant splitting needs an exact"):
-        invariant_split(rep, floating)
+    floats = [[[float(x) for x in row] for row in m] for m in t.matrices]
+    with pytest.raises(ValueError, match="unknown mode 'floating'"):
+        RotationTuple(3, floats, "floating")
+    with pytest.raises(ValueError, match="floating tuples are not accepted here"):
+        tuple_from_json({"mode": "floating", "dimension": 3, "matrices": floats})
 
 
 def test_orbit_of_circle_tuples_dedups_rational_images():
@@ -248,10 +243,9 @@ def test_enumerate_group_matches_the_matrix_closure_oracle():
 
 
 def test_enumerate_group_refuses_floating_and_circle_tuples():
-    for t in (as_floating(signed_permutation_tuple()),
-              circle_rotation_tuple([F(1, 3), F(2, 3)])):
-        with pytest.raises(ValueError, match="exact or quad"):
-            enumerate_group(t)
+    # a floating tuple cannot be built (test_floating_tuples_are_refused)
+    with pytest.raises(ValueError, match="exact or quad"):
+        enumerate_group(circle_rotation_tuple([F(1, 3), F(2, 3)]))
 
 
 def test_enumerate_group_cap_exceeded():

@@ -8,11 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from spherediv import cli, linalg
+from spherediv import cli, linalg, points
 from spherediv.cli import main
-from spherediv.points import (cayley_rotation, exact_tuple, floating_tuple,
-                              identity_tuple, random_skew_matrix,
-                              z_axis_rotation_tuple)
+from spherediv.points import (cayley_rotation, circle_rotation_tuple, exact_tuple,
+                              identity_tuple, random_skew_matrix, z_axis_rotation_tuple)
 from spherediv.serialize import tuple_to_json
 
 F = Fraction
@@ -66,6 +65,23 @@ def test_obstruct_command(tmp_path, capsys):
         in report["disclaimer"]
 
 
+def test_one_obstruct_op_validates_the_tuple_once(tmp_path, capsys, monkeypatch):
+    # the tuple is checked when it is built, and by nothing after
+    calls = []
+    real = points.validate_tuple
+    monkeypatch.setattr(points, "validate_tuple", lambda t: calls.append(t.mode) or real(t))
+    rng = random.Random(4)
+    thirds = [F(1, 3), F(2, 3), F(0)]
+    cayley = exact_tuple([cayley_rotation(random_skew_matrix(rng, 3)) for _ in range(2)])
+    for t, extra in ((cayley, []), (z_axis_rotation_tuple(thirds), []),
+                     (z_axis_rotation_tuple(thirds), ["--witness", "3"]),
+                     (circle_rotation_tuple(thirds), ["--witness", "1"])):
+        path = write_tuple(tmp_path, t)
+        calls.clear()
+        code, _ = run(capsys, ["obstruct", "--tuple", path, "--nmax", "3"] + extra)
+        assert code == 0 and calls == [t.mode], (t.mode, extra)
+
+
 def test_obstruct_witness_flag(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"mode": "circle", "dimension": 2,
@@ -81,24 +97,31 @@ def test_obstruct_witness_flag(tmp_path, capsys):
 
 def test_obstruct_rejects_bad_tuple(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"mode": "floating", "dimension": 2,
-                                "matrices": [[[1.001, 0.0], [0.0, 1.0]]]}))
+    path.write_text(json.dumps({"mode": "exact", "dimension": 2,
+                                "matrices": [[["1001/1000", "0/1"], ["0/1", "1/1"]]]}))
     assert main(["obstruct", "--tuple", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: invalid rotation tuple: matrix 0: rows not exactly orthonormal "
+        "(entry 0,0); matrix 0: determinant is not exactly 1\n")
 
 
 def test_obstruct_refuses_floating_tuples(tmp_path, capsys):
     # a floating tuple has no exact certificate, valid or not
     quarter = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    path = write_tuple(tmp_path, floating_tuple([quarter, quarter]))
+    path = write_json(tmp_path, floating_json([quarter, quarter]))
     assert main(["obstruct", "--tuple", path, "--nmax", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "floating tuples are not accepted here" in captured.err
 
 
-def test_obstruct_dim_mismatch(tmp_path, capsys):
+def test_obstruct_has_no_dim_flag(tmp_path, capsys):
+    # the tuple file fixes the dimension, so a flag could only restate it
     path = write_tuple(tmp_path, identity_tuple(3, 2))
-    assert main(["obstruct", "--dim", "2", "--tuple", path]) == 2
+    with pytest.raises(SystemExit) as info:
+        main(["obstruct", "--dim", "3", "--tuple", path])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --dim 3" in capsys.readouterr().err
 
 
 def test_circle_classify(capsys):
@@ -386,19 +409,28 @@ def write_json(tmp_path, data, name="input.json"):
     return str(path)
 
 
+def floating_json(mats):
+    """A tuple file in the "floating" wire form that `synth-generic` prints."""
+    return {"mode": "floating", "dimension": len(mats[0]),
+            "matrices": [[[float(x) for x in row] for row in m] for m in mats]}
+
+
 CUBE_GENERATORS = [[[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[1, 0, 0], [0, 0, -1], [0, 1, 0]]]
 THIRDS = {"mode": "circle", "dimension": 2, "turns": ["1/3", "2/3", "0/1"]}
 
 
 def test_euler_check_refuses_floating_and_circle_tuples(tmp_path, capsys):
-    floating = write_tuple(tmp_path, floating_tuple(CUBE_GENERATORS), "f.json")
+    # a floating file is refused when it is read, whatever the command; a
+    # circle tuple is refused by this command
+    floating = write_json(tmp_path, floating_json(CUBE_GENERATORS), "f.json")
     circle = write_json(tmp_path, THIRDS, "c.json")
-    for path, mode in ((floating, "floating"), (circle, "circle")):
+    for path, mode, accepted in ((floating, "floating", "exact, quad, circle"),
+                                 (circle, "circle", "exact, quad")):
         assert main(["euler-check", "--generators", path, "--r", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{mode} tuples are not accepted" in captured.err
-        assert "accepted modes: exact, quad" in captured.err
+        assert captured.err == (f"input error: {mode} tuples are not accepted here; "
+                                f"accepted modes: {accepted}\n")
 
 
 def test_euler_check_in_dimension_one_is_an_input_error(tmp_path, capsys):
@@ -418,14 +450,13 @@ def test_orbit_and_fixed_point_test_refuse_floating_tuples(tmp_path, capsys):
     # a finite orbit and a shared fixed vector are closed conditions that no
     # float computation proves
     quarter = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    path = write_tuple(tmp_path, floating_tuple([quarter]))
-    for argv, accepted in ((["orbit", "--point", "1,0,0"], "exact, quad, circle"),
-                           (["fixed-point-test", "--words", "g1"], "exact, quad")):
+    path = write_json(tmp_path, floating_json([quarter]))
+    for argv in (["orbit", "--point", "1,0,0"], ["fixed-point-test", "--words", "g1"]):
         assert main(argv + ["--tuple", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "floating tuples are not accepted" in captured.err
-        assert captured.err.endswith(f"accepted modes: {accepted}\n")
+        assert captured.err == ("input error: floating tuples are not accepted here; "
+                                "accepted modes: exact, quad, circle\n")
 
 
 def test_malformed_tuple_structures_are_input_errors(tmp_path, capsys):

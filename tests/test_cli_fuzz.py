@@ -17,12 +17,11 @@ from spherediv.cli import main
 from spherediv.lifting import (BaseCircleDivision, PlaceholderDivision,
                                lift_from_circle)
 from spherediv.points import (cayley_rotation, circle_rotation_tuple,
-                              exact_tuple, floating_tuple, z_axis_rotation_tuple)
+                              exact_tuple, z_axis_rotation_tuple)
 from spherediv.serialize import tuple_to_json
 from spherediv.synthesis import draw_upper_entries
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
-EXACT_ONLY = ("obstruct", "orbit", "fixed-point-test", "euler-check")
 JUNK = [None, 5, -1, 0, 1.5, True, "x", "1/0", "nan", [], [[]], {}, ["1/1", "0/1"]]
 
 
@@ -48,8 +47,10 @@ def valid_tuples(draw):
         return tuple_to_json(z_axis_rotation_tuple(turns, draw(st.integers(2, 3))))
     d = draw(st.integers(1, 3))
     mats = [cayley_rotation(draw(small_skew(d))) for _ in range(draw(st.integers(1, 3)))]
-    t = exact_tuple(mats) if kind == "exact" else floating_tuple(mats)
-    return tuple_to_json(t)
+    if kind == "floating":  # the wire form `synth-generic` prints
+        return {"mode": "floating", "dimension": d,
+                "matrices": [[[float(x) for x in row] for row in m] for m in mats]}
+    return tuple_to_json(exact_tuple(mats))
 
 
 def _paths(node, prefix=()):
@@ -105,8 +106,8 @@ def test_tuple_commands_end_with_a_documented_exit_code(tmp_path_factory, case):
         assert code in DOCUMENTED_EXITS, (argv, data)
         # a failed internal check on a valid tuple would be a program fault
         assert not (valid and code == 4), (argv, data)
-        # these commands decide only exactly: a floating tuple is an input error
-        if valid and data["mode"] == "floating" and argv[0] in EXACT_ONLY:
+        # every tuple command refuses a floating file as an input error
+        if valid and data["mode"] == "floating":
             assert code == 2, (argv, data)
 
 

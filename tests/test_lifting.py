@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from spherediv.lifting import (BaseCircleDivision, LiftedDivision,
                                PlaceholderDivision, descriptor_from_json, lift,
                                lift_from_circle, membership, verify_partition)
 
-from oracles import verify_base_by_loop, verify_lifted_by_loop
+from oracles import verify_base_by_loop, verify_lifted_by_loop, verify_lifted_by_table
 
 F = Fraction
 
@@ -224,10 +225,37 @@ def test_corrupted_circle_reports_match_the_sample_loop(name):
 
 @pytest.mark.parametrize("r", [1, 7, 10, 20, 100])
 def test_placeholder_lift_matches_the_sample_loop(r):
+    # the lift's cells are read by arithmetic; the loop and the cut table agree
     desc = lift(PlaceholderDivision(dimension=3, r=r), r)
     for samples, seed in ((3000, 0), (3000, 1)):
-        assert verify_partition(desc, samples, seed).to_json() == \
-            verify_lifted_by_loop(desc, samples, seed).to_json()
+        got = verify_partition(desc, samples, seed).to_json()
+        assert got == verify_lifted_by_loop(desc, samples, seed).to_json()
+        assert got == verify_lifted_by_table(desc, samples, seed).to_json()
+
+
+@pytest.mark.parametrize("r", [2001, 10 ** 5, 3 * 10 ** 5])
+def test_more_pieces_than_samples_list_the_pieces_sampled(r):
+    # [piece, count] pairs for the pieces that got a sample, the rest as the
+    # cut table counts them (at r = 3 10^5, 6 % of the angles are near a cut)
+    desc = lift(PlaceholderDivision(dimension=3, r=r), r)
+    got = verify_partition(desc, 2000, 4).to_json()
+    want = verify_lifted_by_table(desc, 2000, 4).to_json()
+    counts = want.pop("piece_counts")
+    assert got.pop("piece_counts") == [[p + 1, c] for p, c in enumerate(counts) if c]
+    assert got == want and got["retained"] > 0
+
+
+def test_lift_verification_memory_does_not_grow_with_r():
+    # nothing of size r is built: the table of r = 10^6 cells took 236 MB
+    peaks = []
+    for r in (10, 10 ** 6, 10 ** 9):
+        desc = lift(PlaceholderDivision(dimension=3, r=r), r)
+        tracemalloc.start()
+        report = verify_partition(desc, 1000, 0)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert report.samples_requested == 1000 and report.ok
+    assert max(peaks) < 2 * 10 ** 6, peaks
 
 
 class _FixedAngles:

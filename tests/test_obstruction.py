@@ -19,9 +19,9 @@ from spherediv.obstruction import (PI_HALF_UPPER, SQRT_SCALE, WITNESS_RESIDUAL_T
                                    _validate_witness, certify_degrees,
                                    circle_det, default_n_max, extract_witness,
                                    l_matrix, near_identity_certificate, pair_det)
-from spherediv.points import (cayley_rotation, circle_rotation_tuple,
-                              exact_tuple, floating_tuple, identity_tuple,
-                              random_skew_matrix, z_axis_rotation_tuple)
+from spherediv.points import (RotationTuple, cayley_rotation, circle_rotation_tuple,
+                              exact_tuple, identity_tuple, random_skew_matrix,
+                              z_axis_rotation_tuple)
 from spherediv.scalars import QuadExt, is_zero_scalar, scalar_to_float
 from spherediv.serialize import tuple_from_json
 from spherediv.synthesis import complete_rows, draw_upper_entries
@@ -71,14 +71,17 @@ def test_certify_random_cayley_obstructed():
 
 
 def test_certify_rejects_invalid_tuple():
-    bad = floating_tuple([[[1.001, 0.0], [0.0, 1.0]]])
-    with pytest.raises(ValueError):
-        certify_degrees(bad, n_max=2)
+    # no invalid tuple reaches certify_degrees: it cannot be built
+    with pytest.raises(ValueError, match="invalid rotation tuple: matrix 0: rows not "
+                                         "exactly orthonormal"):
+        exact_tuple([[[Fraction(1001, 1000), 0], [0, 1]]])
 
 
 def test_certify_refuses_floating_tuples():
-    with pytest.raises(ValueError, match="not a floating one"):
-        certify_degrees(floating_tuple([[[1.0, 0.0], [0.0, 1.0]]]), n_max=2)
+    # a floating tuple file is refused when read; no floating tuple is built
+    with pytest.raises(ValueError, match="floating tuples are not accepted here"):
+        tuple_from_json({"mode": "floating", "dimension": 2,
+                         "matrices": [[[1.0, 0.0], [0.0, 1.0]]]})
 
 
 def test_default_n_max():
@@ -188,9 +191,9 @@ def test_witness_refused_when_obstructed():
 
 
 def test_witness_requires_exact_mode():
-    t = floating_tuple([[[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]])
-    with pytest.raises(ValueError):
-        extract_witness(t, 1)
+    # every tuple is exact: "floating" is no mode of RotationTuple
+    with pytest.raises(ValueError, match="unknown mode 'floating'"):
+        RotationTuple(2, [[[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]], "floating")
 
 
 def test_obstructed_degrees_reject_near_kernels():
@@ -395,7 +398,7 @@ def test_sqrt_upper_is_an_exact_and_tight_bound():
 
 
 def test_identity_tuples_are_obstructed_in_every_degree():
-    cert = near_identity_certificate(identity_tuple(3, 2))
+    cert = near_identity_certificate(identity_tuple(3, 2).matrices)
     assert cert.obstructed_through is None
     assert cert.to_json() == {"distance_bounds": ["0/1", "0/1"], "obstructed_through": None}
 
@@ -403,7 +406,7 @@ def test_identity_tuples_are_obstructed_in_every_degree():
 def test_quad_distance_bound():
     # a twelfth turn about z: ||g - I||_F = 2 sqrt(2) sin(pi/12)
     t = z_axis_rotation_tuple([Fraction(1, 12), Fraction(0)])
-    cert = near_identity_certificate(t)
+    cert = near_identity_certificate(t.matrices)
     true = 2 * math.sqrt(2) * math.sin(math.pi / 12)
     assert 0 <= float(cert.distance_bounds[0]) - true < 1e-15
     assert cert.distance_bounds[1] == 0
@@ -413,9 +416,14 @@ def test_quad_distance_bound():
 
 def test_near_identity_bound_refuses_circle_tuples_and_reflections():
     with pytest.raises(ValueError):
-        near_identity_certificate(circle_rotation_tuple([Fraction(1, 3), Fraction(0)]))
+        near_identity_certificate(circle_rotation_tuple([Fraction(1, 3), Fraction(0)]).matrices)
     with pytest.raises(ValueError, match="determinant <= 0"):
-        near_identity_certificate(floating_tuple([[[1.0, 0.0], [0.0, -1.0]]]))
+        near_identity_certificate([[[1.0, 0.0], [0.0, -1.0]]])
+    for entry in (1, "1"):
+        with pytest.raises(ValueError, match="reads float, Fraction or QuadExt entries"):
+            near_identity_certificate([[[1.0, 0.0], [0.0, 1.0]], [[entry, 0.0], [0.0, 1.0]]])
+    with pytest.raises(ValueError, match="NaN"):
+        near_identity_certificate([[[float("nan"), 0.0], [0.0, 1.0]]])
 
 
 def _small_skew(draw, d: int):
@@ -460,7 +468,7 @@ def near_identity_tuples(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(t=near_identity_tuples())
 def test_near_identity_degrees_are_obstructed_exactly(t):
-    bound = near_identity_certificate(t).obstructed_through
+    bound = near_identity_certificate(t.matrices).obstructed_through
     # exact L determinants for d = 4, r = 3 take seconds at degree 5 (30 x 30)
     # and near a minute at degree 6 (49 x 49)
     cap = 4 if (t.dimension, t.r) == (4, 3) else 6
@@ -479,9 +487,9 @@ def test_near_identity_degrees_are_obstructed_exactly(t):
 def test_moving_a_synthesized_matrix_off_orthogonality_never_raises_the_bound(d):
     rng = np.random.default_rng(60 + d)
     for r in (2, 3):
-        t = complete_rows(draw_upper_entries(rng, d, r)).rotations
-        cert = near_identity_certificate(t)
-        for g, b in zip(t.matrices, cert.distance_bounds):
+        mats = complete_rows(draw_upper_entries(rng, d, r)).matrices
+        cert = near_identity_certificate(mats)
+        for g, b in zip(mats, cert.distance_bounds):
             u, _, vt = np.linalg.svd(np.array(g))
             true = float(np.linalg.norm(u @ vt - np.eye(d)))
             # b bounds ||Q - I||_F from above for the polar factor Q = U V^T,
@@ -489,7 +497,7 @@ def test_moving_a_synthesized_matrix_off_orthogonality_never_raises_the_bound(d)
             assert true - 1e-14 <= float(b) <= true + 1e-12
         for eps in (1e-12, 1e-9, 1e-6, 1e-3):
             sym = rng.normal(size=(d, d))
-            moved = np.array(t.matrices[0]) @ (np.eye(d) + eps * (sym + sym.T))
-            off = floating_tuple([moved.tolist()] + t.matrices[1:])
+            moved = np.array(mats[0]) @ (np.eye(d) + eps * (sym + sym.T))
+            off = [moved.tolist()] + mats[1:]
             assert near_identity_certificate(off).obstructed_through \
                 <= cert.obstructed_through, eps

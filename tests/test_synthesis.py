@@ -9,8 +9,8 @@ import pytest
 from spherediv import synthesis
 from spherediv.actions import evaluate_word, reduced_words
 from spherediv.cli import main
-from spherediv.points import (cayley_rotation, exact_tuple, floating_tuple,
-                              identity_tuple, random_skew_matrix, validate_tuple)
+from spherediv.points import (cayley_rotation, exact_tuple, identity_tuple,
+                              random_skew_matrix)
 from spherediv.synthesis import (CompletionError, UpperEntries, _WordMatrices,
                                  complete_rows, draw_upper_entries,
                                  epsilon_schedule, genericity_diagnostics,
@@ -40,7 +40,7 @@ def test_zero_entries_give_exact_identities():
     upper = UpperEntries(d, [[[0.0] * (d - 1 - m) for m in range(d - 1)]
                              for _ in range(2)])
     result = complete_rows(upper)
-    for m in result.rotations.matrices:
+    for m in result.matrices:
         assert m == np.eye(d).tolist()
     assert result.max_orthonormality_residual == 0.0
 
@@ -55,7 +55,10 @@ def test_random_draws_complete_within_tolerances():
             assert result.max_orthonormality_residual <= 1e-12
             assert result.max_determinant_residual <= 1e-10
             assert max(result.identity_distances) < identity_distance_target(d)
-            assert validate_tuple(result.rotations).ok
+            # the residuals are recomputed from the float matrices themselves
+            a = np.array(result.matrices)
+            assert np.abs(a.transpose(0, 2, 1) @ a - np.eye(d)).max() <= 1e-12
+            assert np.abs(np.linalg.det(a) - 1).max() <= 1e-10
 
 
 def test_halved_bounds_never_fail():
@@ -74,7 +77,7 @@ def test_completion_deterministic():
     upper = draw_upper_entries(rng, 4, 2)
     a = complete_rows(upper)
     b = complete_rows(upper)
-    assert a.rotations.matrices == b.rotations.matrices
+    assert a.matrices == b.matrices
 
 
 def test_large_entry_fails_with_row_diagnostics():
@@ -131,7 +134,7 @@ def test_exact_tuple_near_the_identity_is_checked_exactly():
 def test_synthesized_tuple_is_generic_candidate():
     rng = np.random.default_rng(7)
     result = complete_rows(draw_upper_entries(rng, 3, 2))
-    report = genericity_diagnostics(result.rotations, word_length_cap=4)
+    report = genericity_diagnostics(result, word_length_cap=4)
     assert report.word_check_pass
     assert report.generic_candidate
     assert report.obstruction.obstructed_through > 100
@@ -141,7 +144,7 @@ def test_synthesized_tuple_is_generic_candidate():
 def test_even_dimension_free_action_check():
     rng = np.random.default_rng(11)
     result = complete_rows(draw_upper_entries(rng, 2, 2))
-    report = genericity_diagnostics(result.rotations, word_length_cap=3)
+    report = genericity_diagnostics(result, word_length_cap=3)
     assert report.word_check_pass
     assert not report.fixed_point_failures
     assert report.fixed_point_pairs_checked > 0
@@ -156,28 +159,28 @@ def test_word_matrices_along_the_tree_match_the_letter_by_letter_oracle(d, r, mo
     monkeypatch.setattr(synthesis, "WORD_CHUNK", 7)
     rng = np.random.default_rng(10 * d + r)
     rnd = random.Random(10 * d + r)
-    tuples = [complete_rows(draw_upper_entries(rng, d, r)).rotations,
-              floating_tuple([[[float(x) for x in row]
-                               for row in cayley_rotation(random_skew_matrix(rnd, d))]
-                              for _ in range(r)])]
-    for t in tuples:
-        matrix = _WordMatrices(t)
+    sources = [complete_rows(draw_upper_entries(rng, d, r)).matrices,
+               [[[float(x) for x in row]
+                 for row in cayley_rotation(random_skew_matrix(rnd, d))]
+                for _ in range(r)]]
+    for mats in sources:
+        matrix = _WordMatrices(mats)
         walked = list(matrix.walk(4))
         assert [w for w, _, _ in walked] == list(reduced_words(r, 4))
         for w, m, margin in walked:
-            want = float_word_matrix_by_letters(w.letters, t)
+            want = float_word_matrix_by_letters(w.letters, mats)
             assert np.array_equal(m, want)
             assert margin == float(np.max(np.abs(want - np.eye(d))))
         words = [w.letters for w, _, _ in walked]
         for w1, w2 in zip(words, words[::-7]):
             assert np.array_equal(matrix.times(matrix(w1), w2),
-                                  float_word_matrix_by_letters(w1 + w2, t))
+                                  float_word_matrix_by_letters(w1 + w2, mats))
 
 
 def test_exact_word_matrices_along_the_tree_are_the_word_products():
     rnd = random.Random(8)
     t = exact_tuple([cayley_rotation(random_skew_matrix(rnd, 3)) for _ in range(2)])
-    walked = list(_WordMatrices(t).walk(3))
+    walked = list(_WordMatrices(t.matrices).walk(3))
     assert len(walked) == 4 + 12 + 36
     for w, m, _ in walked:
         assert m == evaluate_word(w, t)
@@ -194,3 +197,19 @@ def test_a_word_cap_below_one_is_an_input_error(capsys):
             f"input error: the word length cap must be at least 1, got {cap}\n"
     assert main(argv + ["1"]) == 0
     assert json.loads(capsys.readouterr().out)["diagnostics"]["words_checked"] == 4
+
+
+def test_the_printed_floating_tuple_is_read_only(tmp_path, capsys):
+    # synth-generic prints its float matrices as a "floating" tuple, and no
+    # tuple command accepts that file back
+    assert main(["synth-generic", "--dim", "3", "--r", "2", "--word-cap", "2"]) == 0
+    printed = json.loads(capsys.readouterr().out)["tuple"]
+    assert printed["mode"] == "floating" and printed["dimension"] == 3
+    path = tmp_path / "tuple.json"
+    path.write_text(json.dumps(printed))
+    for argv in (["obstruct", "--tuple"], ["orbit", "--point", "1,0,0", "--tuple"],
+                 ["fixed-point-test", "--words", "g1", "--tuple"],
+                 ["euler-check", "--r", "3", "--generators"]):
+        assert main(argv + [str(path)]) == 2
+        assert capsys.readouterr().err == ("input error: floating tuples are not accepted "
+                                           "here; accepted modes: exact, quad, circle\n")
